@@ -2,12 +2,18 @@
 
 The engine is deliberately small: a :class:`Tensor` wraps a numpy array and
 remembers, for every operation, its parent tensors together with one
-vector-Jacobian-product (vjp) closure per parent.  The crucial property is
-that every vjp is itself written in terms of these same primitives, so the
-backward pass *builds new graph nodes*.  Gradients are therefore ordinary
-tensors and can be differentiated again, which is what lets a force term
-(the gradient of the predicted energy w.r.t. coordinates) sit inside a
-training loss whose parameter gradient we then need.
+vector-Jacobian-product (vjp) closure per parent.  :func:`grad` is the one
+way to differentiate: it sweeps the graph in reverse and runs a vjp only
+where the parent lies on a path from the requested tensors.  Every vjp is
+itself written in terms of these same primitives, so with
+``create_graph=True`` the sweep *builds new graph nodes*.  Gradients are then
+ordinary tensors and can be differentiated again, which is what lets a force
+term (the gradient of the predicted energy w.r.t. coordinates) sit inside a
+training loss whose parameter gradient we then need.  With
+``create_graph=False`` the same vjps run on plain arrays and record nothing.
+
+No closure holds its own output node, so a graph is freed by reference
+counting as soon as its output is dropped.
 
 Default precision is float64; float32 can be opted into via
 :func:`set_default_dtype`.
@@ -15,13 +21,15 @@ Default precision is float64; float32 can be opted into via
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 DEFAULT_DTYPE = np.float64
 
-_FINITE_CHECKS = True
+# False while grad(create_graph=False) sweeps: _node then builds no graph
+_RECORDING = True
 
 
 class ShapeError(ValueError):
@@ -40,28 +48,21 @@ def set_default_dtype(dtype) -> None:
     DEFAULT_DTYPE = dtype.type
 
 
-def set_finite_checks(enabled: bool) -> None:
-    """Toggle NaN/Inf checking on overflow-prone primitives."""
-    global _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
-
-
 class Tensor:
     """A node of the differentiation graph.
 
     Leaves are created with :func:`parameter` (tracked) or :func:`constant`
-    (untracked); everything else comes out of the ops below.  ``grad`` is
-    filled in by :func:`backward` and is itself a Tensor.
+    (untracked); everything else comes out of the ops below.  Gradients are
+    not stored on tensors; :func:`grad` returns them.
     """
 
-    __slots__ = ("data", "parents", "vjps", "requires_grad", "grad")
+    __slots__ = ("data", "parents", "vjps", "requires_grad", "__weakref__")
 
     def __init__(self, data: np.ndarray, parents=(), vjps=(), requires_grad=False):
         self.data = data
         self.parents = parents
         self.vjps = vjps
         self.requires_grad = requires_grad
-        self.grad: "Tensor | None" = None
 
     @property
     def shape(self):
@@ -135,15 +136,25 @@ def _coerce(x) -> Tensor:
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], vjps: Sequence[Callable]) -> Tensor:
-    """Build an op node, pruning the graph when no parent is tracked."""
-    live = [p.requires_grad for p in parents]
-    if not any(live):
-        return Tensor(data)
-    return Tensor(data, tuple(parents), tuple(vjps), requires_grad=True)
+    """Build an op node, pruning the graph when no parent is tracked or
+    nothing is being recorded."""
+    if _RECORDING and any(p.requires_grad for p in parents):
+        return Tensor(data, tuple(parents), tuple(vjps), requires_grad=True)
+    return Tensor(data)
+
+
+def _with_output_vjp(out: Tensor, vjp: Callable) -> Tensor:
+    """Give a one-parent node the vjp ``vjp(g, out)``.  The closure holds
+    ``out`` weakly, so the node is not a reference cycle; a gradient sweep
+    only runs it while ``out`` is alive."""
+    if out.requires_grad:
+        ref = weakref.ref(out)
+        out.vjps = (lambda g: vjp(g, ref()),)
+    return out
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
-    if _FINITE_CHECKS and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"non-finite values produced by {what}")
 
 
@@ -319,10 +330,7 @@ def exp(a) -> Tensor:
     with np.errstate(over="ignore"):
         data = np.exp(a.data)
     _check_finite(data, "exp")
-    out = _node(data, [a], [None])
-    if out.requires_grad:
-        out.vjps = (lambda g: mul(g, out),)
-    return out
+    return _with_output_vjp(_node(data, [a], [None]), lambda g, out: mul(g, out))
 
 
 def log(a) -> Tensor:
@@ -338,10 +346,8 @@ def sqrt(a) -> Tensor:
     with np.errstate(invalid="ignore"):
         data = np.sqrt(a.data)
     _check_finite(data, "sqrt")
-    out = _node(data, [a], [None])
-    if out.requires_grad:
-        out.vjps = (lambda g: div(mul(g, 0.5), out),)
-    return out
+    return _with_output_vjp(_node(data, [a], [None]),
+                            lambda g, out: div(mul(g, 0.5), out))
 
 
 def square(a) -> Tensor:
@@ -372,10 +378,8 @@ def sigmoid(a) -> Tensor:
     data = np.where(a.data >= 0,
                     1.0 / (1.0 + np.exp(-np.abs(a.data))),
                     np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
-    out = _node(data, [a], [None])
-    if out.requires_grad:
-        out.vjps = (lambda g: mul(g, mul(out, sub(1.0, out))),)
-    return out
+    return _with_output_vjp(_node(data, [a], [None]),
+                            lambda g, out: mul(g, mul(out, sub(1.0, out))))
 
 
 def relu(a) -> Tensor:
@@ -389,10 +393,8 @@ def _expm1_neg(a) -> Tensor:
     a = _coerce(a)
     clipped = np.minimum(a.data, 0.0)
     mask = (a.data < 0).astype(a.data.dtype)
-    out = _node(np.expm1(clipped), [a], [None])
-    if out.requires_grad:
-        out.vjps = (lambda g: mul(g, mul(add(out, 1.0), mask)),)
-    return out
+    return _with_output_vjp(_node(np.expm1(clipped), [a], [None]),
+                            lambda g, out: mul(g, mul(add(out, 1.0), mask)))
 
 
 def matmul(a, b) -> Tensor:
@@ -454,87 +456,65 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# backward machinery
+# gradients
 
-class Tape:
-    """Topologically ordered view of the graph below a root node.
-
-    ``nodes`` lists every gradient-relevant node with all parents before it;
-    a backward sweep walks it once in reverse.
-    """
-
-    def __init__(self, root: Tensor):
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen or not node.requires_grad:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node.parents:
-                stack.append((p, False))
-        self.nodes = order
+def _topo_order(root: Tensor) -> list[Tensor]:
+    """Tracked nodes below ``root``, every parent before its children."""
+    order: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen or not node.requires_grad:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node.parents:
+            stack.append((p, False))
+    return order
 
 
-def grad(output: Tensor, wrt: Iterable[Tensor]) -> list[Tensor]:
+def grad(output: Tensor, wrt: Iterable[Tensor], create_graph: bool = True) -> list[Tensor]:
     """Gradient tensors of a scalar ``output`` w.r.t. each tensor in ``wrt``.
 
-    The returned tensors live on the graph, so they can be differentiated
-    again.  Tensors in ``wrt`` that the output does not depend on get a zero
-    gradient of matching shape.
+    Only vjps into nodes on a path from ``wrt`` run.  With ``create_graph``
+    the results live on the graph and can be differentiated again; without
+    it the sweep records no nodes and the results are untracked.  Tensors in
+    ``wrt`` that the output does not depend on get a zero gradient of
+    matching shape.
     """
+    global _RECORDING
     wrt = list(wrt)
-    gmap = _grad_map(output)
+    if output.size != 1:
+        raise ShapeError("gradient root must be a scalar")
+    keep = {id(t) for t in wrt}
+    gmap: dict[int, Tensor] = {}
+    if output.requires_grad:
+        order = _topo_order(output)
+        live = {id(t) for t in wrt if t.requires_grad}
+        for node in order:
+            if any(id(p) in live for p in node.parents):
+                live.add(id(node))
+        gmap[id(output)] = constant(np.ones(output.shape))
+        recording, _RECORDING = _RECORDING, create_graph
+        try:
+            for node in reversed(order):
+                g = gmap.get(id(node)) if id(node) in keep else gmap.pop(id(node), None)
+                if g is None:
+                    continue
+                for p, vjp in zip(node.parents, node.vjps):
+                    if id(p) not in live:
+                        continue
+                    contrib = vjp(g)
+                    prev = gmap.get(id(p))
+                    gmap[id(p)] = contrib if prev is None else add(prev, contrib)
+        finally:
+            _RECORDING = recording
     out = []
     for t in wrt:
         g = gmap.get(id(t))
         out.append(g if g is not None else constant(np.zeros(t.shape)))
     return out
-
-
-def backward(output: Tensor) -> None:
-    """Populate ``.grad`` on every participating tensor below ``output``."""
-    for t, g in _grad_map_items(output):
-        if t.grad is None:
-            t.grad = g
-        else:
-            t.grad = add(t.grad, g)
-
-
-def _grad_map(output: Tensor) -> dict:
-    return dict(_grad_map_items_by_id(output))
-
-
-def _grad_map_items_by_id(output: Tensor):
-    for t, g in _grad_map_items(output):
-        yield id(t), g
-
-
-def _grad_map_items(output: Tensor):
-    if output.size != 1:
-        raise ShapeError("backward root must be a scalar")
-    if not output.requires_grad:
-        return
-    tape = Tape(output)
-    gmap: dict[int, Tensor] = {id(output): constant(np.ones(output.shape))}
-    for node in reversed(tape.nodes):
-        g = gmap.get(id(node))
-        if g is None:
-            continue
-        for p, vjp in zip(node.parents, node.vjps):
-            if not p.requires_grad:
-                continue
-            contrib = vjp(g)
-            prev = gmap.get(id(p))
-            gmap[id(p)] = contrib if prev is None else add(prev, contrib)
-        yield node, g
-
-
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.grad = None

@@ -23,7 +23,7 @@ from .errors import ConfigError, DataError, UsageError
 from .geometry import Molecule, distance_matrix
 from .gradcheck import force_gradcheck
 from .model import GeoTModel, load_checkpoint, save_checkpoint
-from .training import energy_mae, generate_synthetic, train
+from .training import generate_synthetic, train
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -89,16 +89,19 @@ def cmd_eval(args) -> int:
     labeled = [m for m in mols if m.energy is not None]
     if not labeled:
         raise UsageError("no labeled molecules to evaluate")
-    rows = [("energy", energy_mae(model, labeled))]
-    with_forces = [m for m in labeled if m.forces is not None]
-    if with_forces:
-        errs = []
-        for m in with_forces:
-            pred = model.forces(m)
+    energy_errs, force_errs = [], []
+    for m in labeled:
+        if m.forces is None:
+            energy = model.energy(m)
+        else:
+            energy, pred = model.energy_and_forces(m)
             if model.config.force_sign == "paper":
                 pred = -pred     # labels are physical forces
-            errs.append(np.mean(np.abs(pred - m.forces)))
-        rows.append(("forces", float(np.mean(errs))))
+            force_errs.append(np.mean(np.abs(pred - m.forces)))
+        energy_errs.append(abs(energy - m.energy))
+    rows = [("energy", float(np.mean(energy_errs)))]
+    if force_errs:
+        rows.append(("forces", float(np.mean(force_errs))))
     lines = ["target,mae"] + [f"{t},{v:.17g}" for t, v in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -115,10 +118,9 @@ def cmd_forces(args) -> int:
         mols = parse_xyz_frames(fh.read())
     out_mols = []
     for mol in mols:
-        energy, coords = model.forward_parts(mol)
-        forces = model.forces(mol)
+        energy, forces = model.energy_and_forces(mol)
         out_mols.append(Molecule(mol.atomic_numbers, mol.coords,
-                                 energy=energy.item(), forces=forces))
+                                 energy=energy, forces=forces))
     text = write_xyz_frames(out_mols)
     if args.out:
         Path(args.out).write_text(text)

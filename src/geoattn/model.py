@@ -204,16 +204,21 @@ class GeoTModel:
         e, _ = self.forward_parts(molecule)
         return e.item()
 
-    def force_tensor(self, molecule: Molecule):
-        """(force tensor, energy tensor, coords leaf); differentiable again."""
+    def force_tensor(self, molecule: Molecule, create_graph: bool = True):
+        """(force tensor, energy tensor, coords leaf); with ``create_graph``
+        the forces can be differentiated again."""
         e, coords = self.forward_parts(molecule)
-        (de_dr,) = ad.grad(e, [coords])
+        (de_dr,) = ad.grad(e, [coords], create_graph=create_graph)
         f = de_dr if self.config.force_sign == "paper" else ad.neg(de_dr)
         return f, e, coords
 
+    def energy_and_forces(self, molecule: Molecule) -> tuple[float, np.ndarray]:
+        """Energy and forces from one forward pass; no graph for the gradient."""
+        f, e, _ = self.force_tensor(molecule, create_graph=False)
+        return e.item(), f.data.copy()
+
     def forces(self, molecule: Molecule) -> np.ndarray:
-        f, _, _ = self.force_tensor(molecule)
-        return f.data.copy()
+        return self.energy_and_forces(molecule)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +238,12 @@ def load_checkpoint(path) -> GeoTModel:
         config = ModelConfig(**json.loads(cfg_json))
         model = GeoTModel.init(config, seed=0)
         params = model.params()
-        for key in blob.files:
-            if not key.startswith("param:"):
-                continue
-            name = key[len("param:"):]
+        names = [key[len("param:"):] for key in blob.files if key.startswith("param:")]
+        missing = sorted(set(params) - set(names))
+        if missing:
+            raise ConfigError(f"checkpoint lacks parameters: {', '.join(missing)}")
+        for name in names:
+            key = f"param:{name}"
             if name not in params:
                 raise ConfigError(f"checkpoint parameter {name!r} not in model")
             if params[name].shape != blob[key].shape:

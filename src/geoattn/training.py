@@ -75,7 +75,7 @@ def composite_loss(e_label: float, e_hat: ad.Tensor, de_dr_label: np.ndarray,
     """
     if de_dr_label is None:
         raise ConfigError("composite loss requires force labels")
-    (de_dr,) = ad.grad(e_hat, [coords])
+    (de_dr,) = ad.grad(e_hat, [coords], create_graph=True)
     energy_term = ad.absolute(ad.sub(e_hat, e_label))
     force_term = ad.tensor_sum(ad.absolute(ad.sub(de_dr, de_dr_label)))
     return ad.add(energy_term, ad.mul(force_term, weight))
@@ -109,13 +109,15 @@ class Adam:
         self.t = 0
 
     def step(self, grads: dict, lr: float) -> None:
+        """One update; a non-finite gradient raises before anything changes."""
+        for name in self.params:
+            if not np.all(np.isfinite(grads[name])):
+                raise ad.NonFiniteError(
+                    f"non-finite gradient for parameter {name!r} at step {self.t + 1}")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         for name, tensor in self.params.items():
             g = grads[name]
-            if not np.all(np.isfinite(g)):
-                raise ad.NonFiniteError(
-                    f"non-finite gradient for parameter {name!r} at step {self.t}")
             m = self.m[name]
             v = self.v[name]
             m += (1 - b1) * (g - m)
@@ -123,12 +125,6 @@ class Adam:
             m_hat = m / (1 - b1 ** self.t)
             v_hat = v / (1 - b2 ** self.t)
             tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def adam_step(params: dict, grads: dict, state: Adam, step: int,
-              cfg: TrainConfig) -> None:
-    """One scheduled update; ``step`` drives the warmup/decay schedule."""
-    state.step(grads, lr_schedule(step, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +238,9 @@ class TrainResult:
 
 def train(model: GeoTModel, dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     """Gradient-accumulation training with periodic validation and early
-    stopping on validation energy MAE."""
+    stopping on validation energy MAE.  A non-finite loss, gradient or
+    activation ends the run with ``stopped="diverged"``; the parameters are
+    then as before the failing step, and the best checkpoint is kept."""
     train_mols = dataset.subset("train")
     val_mols = dataset.subset("val")
     if not train_mols:
@@ -298,19 +296,23 @@ def train(model: GeoTModel, dataset: Dataset, cfg: TrainConfig) -> TrainResult:
             step += 1
             grads = {name: np.zeros_like(t.data) for name, t in params.items()}
             batch_loss = 0.0
-            for mol in batch:
-                loss = molecule_loss(model, mol, cfg)
-                batch_loss += loss.item()
-                for name, g in zip(params, ad.grad(loss, params.values())):
-                    grads[name] += g.data
-            batch_loss /= len(batch)
-            if not np.isfinite(batch_loss):
+            try:
+                for mol in batch:
+                    loss = molecule_loss(model, mol, cfg)
+                    batch_loss += loss.item()
+                    for name, g in zip(params, ad.grad(loss, params.values(),
+                                                       create_graph=False)):
+                        grads[name] += g.data
+                batch_loss /= len(batch)
+                if not np.isfinite(batch_loss):
+                    raise ad.NonFiniteError("non-finite training loss")
+                for name in grads:
+                    grads[name] /= len(batch)
+                opt.step(grads, lr_schedule(step, cfg))
+            except ad.NonFiniteError:
                 result.stopped = "diverged"
                 done = True
                 break
-            for name in grads:
-                grads[name] /= len(batch)
-            adam_step(params, grads, opt, step, cfg)
             running_loss = batch_loss
 
             if step % cfg.eval_every == 0:

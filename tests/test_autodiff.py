@@ -187,8 +187,8 @@ class TestBackward:
     def test_square_derivative(self):
         x = ad.parameter(3.0)
         y = ad.square(x)
-        ad.backward(y)
-        assert x.grad.item() == 6.0
+        (g,) = ad.grad(y, [x])
+        assert g.item() == 6.0
 
     def test_double_backward_through_abs(self):
         # d/dx |c - dE/dx| for E = x^2, c = 0, at x = 1: the inner gradient
@@ -206,20 +206,20 @@ class TestBackward:
     def test_non_scalar_root_rejected(self):
         x = ad.parameter(np.ones(3))
         with pytest.raises(ad.ShapeError):
-            ad.backward(ad.square(x))
+            ad.grad(ad.square(x), [x])
 
     def test_backward_linearity(self, rng):
         vals = rng.uniform(-2, 2, 4)
         x1 = ad.parameter(vals)
         s1 = ad.tensor_sum(ad.square(x1))
         s2 = ad.tensor_sum(ad.exp(x1))
-        ad.backward(ad.add(s1, s2))
-        combined = x1.grad.data.copy()
+        (g,) = ad.grad(ad.add(s1, s2), [x1])
+        combined = g.data.copy()
 
         x2 = ad.parameter(vals)
-        ad.backward(ad.tensor_sum(ad.square(x2)))
-        ad.backward(ad.tensor_sum(ad.exp(x2)))
-        np.testing.assert_allclose(x2.grad.data, combined, atol=1e-15)
+        (g_square,) = ad.grad(ad.tensor_sum(ad.square(x2)), [x2])
+        (g_exp,) = ad.grad(ad.tensor_sum(ad.exp(x2)), [x2])
+        np.testing.assert_allclose(g_square.data + g_exp.data, combined, atol=1e-15)
 
     def test_forward_determinism(self, rng):
         x = rng.uniform(-2, 2, (5, 5))
@@ -235,6 +235,37 @@ class TestBackward:
         v2, g2 = run()
         assert v1 == v2
         np.testing.assert_array_equal(g1, g2)
+
+
+class TestGradContract:
+    @staticmethod
+    def build(x, w):
+        h = ad.layer_norm(ad.matmul(x, w), ad.constant(np.ones(3)), ad.constant(np.zeros(3)))
+        return ad.tensor_sum(ad.mul(ad.elu(h), ad.sigmoid(ad.sqrt(ad.exp(h)))))
+
+    def test_no_graph_gives_same_bits_and_no_parents(self, rng):
+        x = ad.parameter(rng.uniform(-2, 2, (4, 5)))
+        w = ad.parameter(rng.uniform(-2, 2, (5, 3)))
+        out = self.build(x, w)
+        tracked = ad.grad(out, [x, w], create_graph=True)
+        plain = ad.grad(out, [x, w], create_graph=False)
+        for a, b in zip(tracked, plain):
+            assert a.parents
+            np.testing.assert_array_equal(a.data, b.data)
+            assert b.parents == () and not b.requires_grad
+
+    def test_vjps_off_the_path_from_wrt_are_not_called(self, rng):
+        def refuse(g):
+            raise AssertionError("vjp off the path from wrt was called")
+
+        x = ad.parameter(rng.uniform(-2, 2, 4))
+        w = ad.parameter(rng.uniform(-2, 2, 4))
+        a = ad.exp(w)                # depends on w only
+        a.vjps = (refuse,)
+        prod = ad.mul(x, a)
+        prod.vjps = (prod.vjps[0], refuse)
+        (g,) = ad.grad(ad.tensor_sum(prod), [x])
+        np.testing.assert_array_equal(g.data, a.data)
 
 
 class TestStructuralOps:

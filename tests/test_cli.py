@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from geoattn import training
 from geoattn.cli import main
 from geoattn.config import RunConfig
 from geoattn.data import parse_xyz_frames, write_xyz
@@ -113,6 +114,23 @@ class TestTrainCommand:
                      "--max_steps", "1", "--eval_every", "1"]) == 0
         rows = (out / "metrics.csv").read_text().strip().splitlines()[1:]
         assert max(int(r.split(",")[0]) for r in rows) == 1
+
+    def test_diverged_run_keeps_artifacts(self, tiny_run, monkeypatch):
+        cfg, tmp_path = tiny_run
+        inner = training.molecule_loss
+        calls = []
+
+        def faulty(model, mol, train_cfg):
+            calls.append(1)
+            if len(calls) == 5:          # first molecule of step 2
+                model.layers[0].ffn_b1.data[0] = np.inf
+            return inner(model, mol, train_cfg)
+
+        monkeypatch.setattr(training, "molecule_loss", faulty)
+        assert main(["train", str(cfg)]) == 1
+        out = tmp_path / "out"
+        assert (out / "metrics.csv").exists()
+        assert (out / "best.npz").exists()
 
 
 class TestEvalCommand:

@@ -1,4 +1,6 @@
+import gc
 import io
+import weakref
 
 import numpy as np
 import pytest
@@ -174,6 +176,31 @@ class TestForces:
         assert g.data.shape == model.w_pool.data.shape
         assert np.all(np.isfinite(g.data))
 
+    def test_graphs_freed_without_cyclic_collector(self, rng):
+        model = GeoTModel.init(small_config(use_attn_scale=True,
+                                            block_kind="parallel_mlp"), seed=0)
+        mol = random_molecule(rng, n=5)
+        refs = []
+        inner = model.forward_parts
+
+        def capture(molecule, trace=None):
+            energy, coords = inner(molecule, trace)
+            refs.append(weakref.ref(energy))
+            return energy, coords
+
+        model.forward_parts = capture
+        gc.collect()
+        gc.disable()
+        try:
+            model.forces(mol)
+            assert refs[-1]() is None
+            f, _, _ = model.force_tensor(mol)
+            ad.grad(ad.tensor_sum(ad.square(f)), [model.w_pool])
+            del f
+            assert refs[-1]() is None
+        finally:
+            gc.enable()
+
 
 class TestAttentionTrace:
     def test_trace_shapes(self, rng):
@@ -217,4 +244,14 @@ class TestCheckpoints:
         arrays["param:w_pool"] = np.zeros((3, 3))
         np.savez(path, **arrays)
         with pytest.raises(ConfigError):
+            load_checkpoint(path)
+
+    def test_missing_parameter_rejected(self, tmp_path):
+        model = GeoTModel.init(small_config(), seed=0)
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, path)
+        with np.load(path) as blob:
+            arrays = {k: blob[k] for k in blob.files if k != "param:layer0.attn.wq"}
+        np.savez(path, **arrays)
+        with pytest.raises(ConfigError, match="layer0.attn.wq"):
             load_checkpoint(path)

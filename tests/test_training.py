@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from geoattn import autodiff as ad
+from geoattn import training
 from geoattn.data import split_dataset
 from geoattn.errors import ConfigError, DataError
 from geoattn.geometry import BasisConfig, Molecule
@@ -135,6 +136,16 @@ class TestAdam:
         with pytest.raises(ad.NonFiniteError):
             opt.step({"p": np.array([1.0, np.nan])}, 0.1)
 
+    def test_nonfinite_gradient_changes_nothing(self):
+        p = ad.parameter(np.ones(2))
+        q = ad.parameter(np.ones(2))
+        opt = Adam({"p": p, "q": q})
+        with pytest.raises(ad.NonFiniteError, match="'q'"):
+            opt.step({"p": np.array([1.0, 1.0]), "q": np.array([1.0, np.inf])}, 0.1)
+        np.testing.assert_array_equal(p.data, [1.0, 1.0])
+        np.testing.assert_array_equal(opt.m["p"], [0.0, 0.0])
+        assert opt.t == 0
+
 
 class TestMorseOracle:
     table = default_morse_table((1, 6, 7, 8))
@@ -248,6 +259,27 @@ class TestTrainLoop:
         l1 = molecule_loss(m1, mol, cfg).item()
         l2 = molecule_loss(m2, mol, cfg).item()
         assert l1 == l2
+
+    def test_nonfinite_forward_ends_diverged(self, monkeypatch):
+        model = tiny_model()
+        inner = training.molecule_loss
+        calls, before = [], {}
+
+        def faulty(net, mol, cfg):
+            calls.append(1)
+            if len(calls) == 5:          # first molecule of step 2
+                net.layers[0].ffn_b1.data[0] = np.inf
+                before.update({k: t.data.copy() for k, t in net.params().items()})
+            return inner(net, mol, cfg)
+
+        monkeypatch.setattr(training, "molecule_loss", faulty)
+        res = train(model, tiny_dataset(), TrainConfig(
+            batch_size=4, max_steps=3, eval_every=1, patience=100))
+        assert res.stopped == "diverged"
+        assert res.best_checkpoint is not None
+        assert before
+        for k, t in model.params().items():
+            np.testing.assert_array_equal(t.data, before[k])
 
     def test_empty_training_set(self):
         model = tiny_model()
