@@ -7,8 +7,7 @@ from .attention import (AttentionConfig, AttentionRecord, attn_scale,
                         qkv_project, standard_attention)
 from .data import Dataset, parse_xyz, parse_xyz_frames, split_dataset, write_xyz
 from .geometry import (BasisConfig, Molecule, bessel_basis, gaussian_basis,
-                       kernel_tensor, linear_basis, pairwise_distances,
-                       two_body_kernel)
+                       kernel_tensor, linear_basis, pairwise_distances)
 from .model import GeoTModel, ModelConfig, load_checkpoint, save_checkpoint
 from .training import (Adam, SyntheticSpec, TrainConfig, composite_loss,
                        generate_synthetic, lr_schedule, mae_loss, train)

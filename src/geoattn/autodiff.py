@@ -21,14 +21,15 @@ Default precision is float64; float32 can be opted into via
 
 from __future__ import annotations
 
+import contextlib
 import weakref
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 DEFAULT_DTYPE = np.float64
 
-# False while grad(create_graph=False) sweeps: _node then builds no graph
+# False inside no_graph(): _node then builds no graph
 _RECORDING = True
 
 
@@ -141,6 +142,17 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], vjps: Sequence[Callable])
     if _RECORDING and any(p.requires_grad for p in parents):
         return Tensor(data, tuple(parents), tuple(vjps), requires_grad=True)
     return Tensor(data)
+
+
+@contextlib.contextmanager
+def no_graph():
+    """Compute without recording: every tensor made inside is untracked."""
+    global _RECORDING
+    recording, _RECORDING = _RECORDING, False
+    try:
+        yield
+    finally:
+        _RECORDING = recording
 
 
 def _with_output_vjp(out: Tensor, vjp: Callable) -> Tensor:
@@ -275,6 +287,59 @@ def put_rows(g, idx, n_rows: int) -> Tensor:
     return _node(data, [g], [lambda gg: take_rows(gg, idx)])
 
 
+class PairIndex(NamedTuple):
+    """The M = N(N+1)/2 pairs i <= j of N atoms: the off-diagonal pairs
+    (i < j) first, then the N diagonal pairs in atom order."""
+
+    i: np.ndarray        # (M,) first atom of each pair
+    j: np.ndarray        # (M,) second atom
+    index: np.ndarray    # (N, N) pair of (a, b), the same as of (b, a)
+    upper: np.ndarray    # (M,) flat N x N position i*N + j
+    lower: np.ndarray    # (M - N,) flat position j*N + i of the off-diagonal pairs
+
+
+def pair_index(n: int) -> PairIndex:
+    off_i, off_j = np.triu_indices(n, 1)
+    atoms = np.arange(n)
+    i, j = np.concatenate([off_i, atoms]), np.concatenate([off_j, atoms])
+    index = np.empty((n, n), dtype=np.intp)
+    index[i, j] = index[j, i] = np.arange(len(i))
+    return PairIndex(i, j, index, i * n + j, off_j * n + off_i)
+
+
+def expand_pairs(u, pairs: PairIndex) -> Tensor:
+    """Symmetric N x N x ... layout of per-pair rows: out[a, b] = u[pair(a, b)].
+    Backward folds."""
+    u = _coerce(u)
+    return _node(u.data[pairs.index], [u], [lambda g: fold_pairs(g, pairs)])
+
+
+def fold_pairs(g, pairs: PairIndex) -> Tensor:
+    """Adjoint of :func:`expand_pairs`: row k = g[i, j] + g[j, i] for the
+    pair k = (i, j), and g[i, i] on the diagonal.  Backward expands."""
+    g = _coerce(g)
+    n = g.shape[0]
+    flat = g.data.reshape((n * n,) + g.shape[2:])
+    data = flat[pairs.upper]
+    data[:len(pairs.lower)] += flat[pairs.lower]
+    return _node(data, [g], [lambda gg: expand_pairs(gg, pairs)])
+
+
+def add_pair_sum(x, p, pairs: PairIndex) -> Tensor:
+    """Per-pair rows x + p[i] + p[j], from per-pair ``x`` and per-atom ``p``."""
+    x, p = _coerce(x), _coerce(p)
+    m, n = len(pairs.i), p.shape[0]
+
+    def back_p(g):
+        # atom a collects every pair it is in, its diagonal pair twice
+        return add(tensor_sum(expand_pairs(g, pairs), axis=1), slice_axis(g, 0, m - n, m))
+
+    data = p.data[pairs.i]
+    data += p.data[pairs.j]     # before x, so swapping i and j changes no bit
+    data += x.data
+    return _node(data, [x, p], [lambda g: g, back_p])
+
+
 # ---------------------------------------------------------------------------
 # arithmetic
 
@@ -374,10 +439,13 @@ def cos(a) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = _coerce(a)
-    # stable in both tails
-    data = np.where(a.data >= 0,
-                    1.0 / (1.0 + np.exp(-np.abs(a.data))),
-                    np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
+    # stable in both tails: 1 / (1 + e) for x >= 0 and e / (1 + e) below, with
+    # e = exp(-|x|); computed in place, since fresh temporaries cost page faults
+    e = np.abs(a.data, out=np.empty_like(a.data))
+    np.exp(np.negative(e, out=e), out=e)
+    den = 1.0 + e
+    np.copyto(e, 1.0, where=a.data >= 0)
+    data = np.divide(e, den, out=e)
     return _with_output_vjp(_node(data, [a], [None]),
                             lambda g, out: mul(g, mul(out, sub(1.0, out))))
 
@@ -486,7 +554,6 @@ def grad(output: Tensor, wrt: Iterable[Tensor], create_graph: bool = True) -> li
     ``wrt`` that the output does not depend on get a zero gradient of
     matching shape.
     """
-    global _RECORDING
     wrt = list(wrt)
     if output.size != 1:
         raise ShapeError("gradient root must be a scalar")
@@ -499,8 +566,7 @@ def grad(output: Tensor, wrt: Iterable[Tensor], create_graph: bool = True) -> li
             if any(id(p) in live for p in node.parents):
                 live.add(id(node))
         gmap[id(output)] = constant(np.ones(output.shape))
-        recording, _RECORDING = _RECORDING, create_graph
-        try:
+        with contextlib.nullcontext() if create_graph else no_graph():
             for node in reversed(order):
                 g = gmap.get(id(node)) if id(node) in keep else gmap.pop(id(node), None)
                 if g is None:
@@ -511,8 +577,6 @@ def grad(output: Tensor, wrt: Iterable[Tensor], create_graph: bool = True) -> li
                     contrib = vjp(g)
                     prev = gmap.get(id(p))
                     gmap[id(p)] = contrib if prev is None else add(prev, contrib)
-        finally:
-            _RECORDING = recording
     out = []
     for t in wrt:
         g = gmap.get(id(t))

@@ -71,12 +71,12 @@ def cmd_train(args) -> int:
     model = GeoTModel.init(cfg.model_config(), seed=cfg["seed"])
     result = train(model, dataset, cfg.train_config())
     (out / "metrics.csv").write_text(result.metrics_csv())
-    save_checkpoint(model, out / "final.npz")
     if result.best_checkpoint is not None:
         (out / "best.npz").write_bytes(result.best_checkpoint)
     if result.stopped == "diverged":
         print("training diverged; last good checkpoint kept", file=sys.stderr)
         return 1
+    save_checkpoint(model, out / "final.npz")
     print(f"trained {result.steps_run} steps ({result.stopped}); "
           f"best val MAE {result.best_val_mae:.6g}; artifacts in {out}")
     return 0

@@ -2,9 +2,9 @@
 
 The pair kernel maps each interatomic distance (optionally combined with a
 symmetric code for the two atomic numbers) through a per-layer two-layer MLP
-to a gating vector of width ``d_m``.  Everything here is differentiable
-through the autodiff engine, including the distance matrix itself, which is
-what force prediction relies on.
+to a gating vector of width ``d_m``, evaluated once per unordered pair.
+Everything here is differentiable through the autodiff engine, including the
+distance matrix itself, which is what force prediction relies on.
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ def init_kernel_params(rng: np.random.Generator, cfg: BasisConfig, d_m: int,
     )
 
 
-def expand_basis(r: ad.Tensor, cfg: BasisConfig, params: KernelParams) -> ad.Tensor:
+def expand_basis(r: ad.Tensor, cfg: BasisConfig, params: KernelParams | None) -> ad.Tensor:
     if cfg.kind == "gaussian":
         return gaussian_basis(r, cfg)
     if cfg.kind == "bessel":
@@ -182,48 +182,54 @@ def expand_basis(r: ad.Tensor, cfg: BasisConfig, params: KernelParams) -> ad.Ten
     return linear_basis(r, params.lin_a, params.lin_b)
 
 
-def atom_pair_code(params: KernelParams, z_i, z_j) -> ad.Tensor:
-    """Symmetric embedding code Z(z_i) + Z(z_j); z_i/z_j may be arrays."""
-    if params.embed is None:
-        raise ConfigError("kernel was built without atom embeddings")
-    z_i = np.atleast_1d(np.asarray(z_i, dtype=np.intp))
-    z_j = np.atleast_1d(np.asarray(z_j, dtype=np.intp))
-    for z in (z_i, z_j):
-        if np.any(z < 1) or np.any(z > MAX_ATOMIC_NUMBER):
-            raise DataError("atomic number out of range")
-    return ad.add(ad.take_rows(params.embed, z_i), ad.take_rows(params.embed, z_j))
+@dataclass
+class PairGeometry:
+    """What the kernels of all layers share for one molecule: the i <= j
+    pairs, their distances and, for the parameter-free bases, their basis."""
+
+    pairs: ad.PairIndex
+    r: ad.Tensor                 # (M,)
+    basis: ad.Tensor | None      # (M, n_basis); None for the linear basis
 
 
-def _kernel_mlp(params: KernelParams, flat_in: ad.Tensor) -> ad.Tensor:
-    h = ad.swish(ad.add(ad.matmul(flat_in, params.w1), params.b1))
-    return ad.add(ad.matmul(h, params.w2), params.b2)
+def pair_geometry(dist: ad.Tensor, cfg: BasisConfig) -> PairGeometry:
+    """The i <= j pairs of the N x N distance matrix ``dist``."""
+    pairs = ad.pair_index(dist.shape[0])
+    # dist is symmetric bit for bit, so dist_ij + dist_ji is exactly 2 r_ij
+    r = ad.mul(ad.fold_pairs(dist, pairs), 0.5)
+    basis = None if cfg.kind == "linear" else expand_basis(r, cfg, None)
+    return PairGeometry(pairs, r, basis)
 
 
-def two_body_kernel(params: KernelParams, cfg: BasisConfig, r: ad.Tensor,
-                    z_i: int | None = None, z_j: int | None = None) -> ad.Tensor:
-    """Kernel vector for a single pair; scalar distance in, (d_m,) out."""
-    g = ad.reshape(expand_basis(ad.reshape(r, ()), cfg, params), (1, -1))
-    if params.embed is not None:
-        if z_i is None or z_j is None:
-            raise ConfigError("atom-aware kernel needs both atomic numbers")
-        g = ad.concat([g, atom_pair_code(params, z_i, z_j)], axis=1)
-    return ad.reshape(_kernel_mlp(params, g), (-1,))
-
-
-def kernel_tensor(params: KernelParams, cfg: BasisConfig, dist: ad.Tensor,
-                  atomic_numbers: np.ndarray) -> ad.Tensor:
+def kernel_tensor(params: KernelParams, cfg: BasisConfig,
+                  dist: "ad.Tensor | PairGeometry",
+                  atomic_numbers: np.ndarray | None) -> ad.Tensor:
     """Full N x N x d_m kernel for one layer.
 
-    Symmetry in the atom indices is inherited from the symmetric distance
-    matrix and the symmetric pair code.
+    ``dist`` is the N x N distance matrix, or the :class:`PairGeometry` made
+    from it once for all layers.  The MLP runs on the M = N(N+1)/2 pairs
+    i <= j only, and its output is mirrored to N x N, so the kernel is
+    symmetric by construction.  In atom-aware mode the first layer's weights
+    split by rows into basis rows W_r and code rows W_z; the code
+    Z(z_i) + Z(z_j) and the bias b1 then enter as P_i + P_j with the
+    per-atom term P = Z(z) W_z + b1/2, which equals
+    [g; Z(z_i) + Z(z_j)] W1 + b1 by linearity.
     """
-    n = dist.shape[0]
-    g = expand_basis(dist, cfg, params)              # N x N x n_basis
-    if params.embed is not None:
-        zi = np.repeat(atomic_numbers, n)
-        zj = np.tile(atomic_numbers, n)
-        code = atom_pair_code(params, zi, zj)        # N*N x d_emb2
-        flat = ad.concat([ad.reshape(g, (n * n, -1)), code], axis=1)
+    geo = dist if isinstance(dist, PairGeometry) else pair_geometry(dist, cfg)
+    g = geo.basis if geo.basis is not None else expand_basis(geo.r, cfg, params)
+    if params.embed is None:
+        pre = ad.add(ad.matmul(g, params.w1), params.b1)
     else:
-        flat = ad.reshape(g, (n * n, -1))
-    return ad.reshape(_kernel_mlp(params, flat), (n, n, -1))
+        if atomic_numbers is None:
+            raise ConfigError("atom-aware kernel needs atomic numbers")
+        z = np.asarray(atomic_numbers, dtype=np.intp)
+        if np.any(z < 1) or np.any(z > MAX_ATOMIC_NUMBER):
+            raise DataError("atomic number out of range")
+        nb = cfg.n_basis
+        w_r = ad.slice_axis(params.w1, 0, 0, nb)
+        w_z = ad.slice_axis(params.w1, 0, nb, params.w1.shape[0])
+        per_atom = ad.add(ad.matmul(ad.take_rows(params.embed, z), w_z),
+                          ad.mul(params.b1, 0.5))                    # N x d_rbf
+        pre = ad.add_pair_sum(ad.matmul(g, w_r), per_atom, geo.pairs)
+    h = ad.swish(pre)
+    return ad.expand_pairs(ad.add(ad.matmul(h, params.w2), params.b2), geo.pairs)

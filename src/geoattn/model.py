@@ -23,7 +23,7 @@ from .attention import (AttentionConfig, AttentionParams, AttentionRecord,
 from .errors import ConfigError, DataError
 from .geometry import (MAX_ATOMIC_NUMBER, BasisConfig, KernelParams, Molecule,
                        glorot, init_kernel_params, kernel_tensor,
-                       pairwise_distances)
+                       pair_geometry, pairwise_distances)
 
 
 @dataclass
@@ -187,11 +187,14 @@ class GeoTModel:
 
     def _encode(self, molecule: Molecule, coords: ad.Tensor, trace) -> ad.Tensor:
         dist = pairwise_distances(coords)
+        # distances and basis of the i <= j pairs, shared by every layer
+        geo = None if self.config.use_softmax_baseline else \
+            pair_geometry(dist, self.config.basis)
         x = self.embed(molecule)
         for i, layer in enumerate(self.layers):
             lam = None
-            if not self.config.use_softmax_baseline:
-                lam = kernel_tensor(layer.kernel, self.config.basis, dist,
+            if geo is not None:
+                lam = kernel_tensor(layer.kernel, self.config.basis, geo,
                                     molecule.atomic_numbers)
             x = self._block(x, lam, layer, i, trace)
         return x
@@ -201,7 +204,8 @@ class GeoTModel:
         return self._encode(molecule, ad.constant(molecule.coords), None).data.copy()
 
     def energy(self, molecule: Molecule) -> float:
-        e, _ = self.forward_parts(molecule)
+        with ad.no_graph():
+            e, _ = self.forward_parts(molecule)
         return e.item()
 
     def force_tensor(self, molecule: Molecule, create_graph: bool = True):
@@ -250,6 +254,9 @@ def load_checkpoint(path) -> GeoTModel:
                 raise ConfigError(f"shape mismatch for {name!r}: "
                                   f"{params[name].shape} vs {blob[key].shape}")
             params[name].data = blob[key].astype(params[name].data.dtype)
+    bad = sorted(name for name, t in params.items() if not np.all(np.isfinite(t.data)))
+    if bad:
+        raise ConfigError(f"checkpoint holds non-finite values in: {', '.join(bad)}")
     return model
 
 

@@ -102,6 +102,12 @@ class TestActivations:
     def test_swish_zero(self):
         assert ad.activation("swish", ad.constant(0.0)).item() == 0.0
 
+    def test_sigmoid_matches_three_exp_form(self, rng):
+        x = rng.normal(size=4096) * 10
+        old = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                       np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        np.testing.assert_array_equal(ad.sigmoid(ad.constant(x)).data, old)
+
     def test_swish_one(self):
         assert ad.swish(ad.constant(1.0)).item() == pytest.approx(
             1.0 / (1.0 + np.exp(-1.0)), abs=1e-12)
@@ -254,6 +260,23 @@ class TestGradContract:
             np.testing.assert_array_equal(a.data, b.data)
             assert b.parents == () and not b.requires_grad
 
+    def test_no_graph_block_records_nothing(self, rng):
+        x = ad.parameter(rng.uniform(-2, 2, (4, 5)))
+        w = ad.parameter(rng.uniform(-2, 2, (5, 3)))
+        with ad.no_graph():
+            out = self.build(x, w)
+        assert out.parents == () and not out.requires_grad
+        np.testing.assert_array_equal(out.data, self.build(x, w).data)
+        assert self.build(x, w).parents
+
+    def test_no_graph_restores_recording_after_exception(self, rng):
+        x = ad.parameter(rng.uniform(-2, 2, 3))
+        with pytest.raises(RuntimeError):
+            with ad.no_graph():
+                raise RuntimeError("inside")
+        assert ad._RECORDING
+        assert ad.exp(x).parents
+
     def test_vjps_off_the_path_from_wrt_are_not_called(self, rng):
         def refuse(g):
             raise AssertionError("vjp off the path from wrt was called")
@@ -266,6 +289,68 @@ class TestGradContract:
         prod.vjps = (prod.vjps[0], refuse)
         (g,) = ad.grad(ad.tensor_sum(prod), [x])
         np.testing.assert_array_equal(g.data, a.data)
+
+
+class TestPairOps:
+    """expand_pairs / fold_pairs / add_pair_sum on the i <= j pair layout."""
+
+    def test_layout(self):
+        pairs = ad.pair_index(3)
+        assert len(pairs.i) == 6 and np.all(pairs.i <= pairs.j)
+        np.testing.assert_array_equal(pairs.i[-3:], [0, 1, 2])
+        np.testing.assert_array_equal(pairs.j[-3:], [0, 1, 2])
+        np.testing.assert_array_equal(pairs.index, pairs.index.T)
+        np.testing.assert_array_equal(pairs.index[pairs.i, pairs.j], np.arange(6))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_expand_and_fold_are_adjoint(self, rng, n):
+        pairs = ad.pair_index(n)
+        u = rng.normal(size=(len(pairs.i), 3))
+        g = rng.normal(size=(n, n, 3))
+        lhs = np.sum(ad.expand_pairs(u, pairs).data * g)
+        rhs = np.sum(u * ad.fold_pairs(g, pairs).data)
+        assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
+
+    def test_expand_mirrors_and_fold_sums_both_orders(self, rng):
+        pairs = ad.pair_index(4)
+        u = rng.normal(size=(10, 2))
+        lam = ad.expand_pairs(u, pairs).data
+        np.testing.assert_array_equal(lam, lam.transpose(1, 0, 2))
+        g = rng.normal(size=(4, 4, 2))
+        folded = ad.fold_pairs(g, pairs).data
+        for k, (i, j) in enumerate(zip(pairs.i, pairs.j)):
+            want = g[i, i] if i == j else g[i, j] + g[j, i]
+            np.testing.assert_array_equal(folded[k], want)
+
+    def test_add_pair_sum_gradients(self, rng):
+        pairs = ad.pair_index(4)
+        x = rng.normal(size=(10, 3))
+        p = rng.normal(size=(4, 3))
+        w = rng.normal(size=(10, 3))
+        _, grads = scalar_grad(
+            lambda s, t: ad.tensor_sum(ad.square(ad.mul(ad.add_pair_sum(s, t, pairs), w))), x, p)
+        numeric = numeric_grad(
+            lambda s, a: float(((w * (s + a[pairs.i] + a[pairs.j])) ** 2).sum()), [x, p])
+        for g, n in zip(grads, numeric):
+            assert rel_err(g, n) < 1e-6
+
+    def test_double_backward_through_expand_and_fold(self, rng):
+        # d/dp of |grad_x f|^2 where f mixes x and p through the pair layout
+        pairs = ad.pair_index(3)
+        x0 = rng.normal(size=(6, 2))
+        p0 = rng.normal(size=(3, 3, 2))
+
+        def outer(pv):
+            x = ad.parameter(x0)
+            p = ad.parameter(pv)
+            f = ad.tensor_sum(ad.sin(ad.mul(ad.expand_pairs(ad.square(x), pairs), p)))
+            (gx,) = ad.grad(f, [x], create_graph=True)
+            return ad.tensor_sum(ad.square(ad.fold_pairs(ad.expand_pairs(gx, pairs), pairs))), p
+
+        loss, p = outer(p0)
+        (g,) = ad.grad(loss, [p])
+        (n,) = numeric_grad(lambda pv: outer(pv)[0].item(), [p0])
+        assert rel_err(g.data, n) < 1e-6
 
 
 class TestStructuralOps:

@@ -131,6 +131,7 @@ class TestTrainCommand:
         out = tmp_path / "out"
         assert (out / "metrics.csv").exists()
         assert (out / "best.npz").exists()
+        assert not (out / "final.npz").exists()
 
 
 class TestEvalCommand:

@@ -4,10 +4,48 @@ import pytest
 from geoattn import autodiff as ad
 from geoattn.errors import ConfigError, DataError
 from geoattn.geometry import (BasisConfig, KernelParams, Molecule,
-                              atom_pair_code, bessel_basis, gaussian_basis,
+                              bessel_basis, gaussian_basis,
                               init_kernel_params, kernel_tensor, linear_basis,
-                              pairwise_distances, two_body_kernel)
+                              pairwise_distances)
 from conftest import numeric_grad, rel_err
+
+
+def reference_kernel(p, cfg, r, code=None):
+    """Dense numpy Lambda = W2^T swish(W1^T [g(r); code] + b1) + b2 for an
+    array of distances ``r``; ``code`` has shape r.shape + (d_emb2,)."""
+    r = np.asarray(r, dtype=float)[..., None]
+    k = np.arange(1, cfg.n_basis + 1)
+    if cfg.kind == "gaussian":
+        g = np.exp(-cfg.gamma * (r - cfg.delta * k) ** 2)
+    elif cfg.kind == "bessel":
+        c = cfg.bessel_cutoff
+        freqs = k * np.pi / c
+        tiny = r < 1e-10
+        g = np.sqrt(2 / c) * np.where(tiny, freqs, np.sin(freqs * r) / np.where(tiny, 1.0, r))
+    else:
+        g = p.lin_a.data + p.lin_b.data * r
+    if code is not None:
+        g = np.concatenate([g, code], axis=-1)
+    pre = g @ p.w1.data + p.b1.data
+    h = pre / (1.0 + np.exp(-pre))
+    return h @ p.w2.data + p.b2.data
+
+
+def reference_tensor(p, cfg, coords, numbers):
+    """N x N x d_m reference kernel of a molecule; the atom-aware code is
+    E[z_i] + E[z_j]."""
+    diff = coords[:, None, :] - coords[None, :, :]
+    r = np.sqrt((diff ** 2).sum(-1))
+    code = None
+    if p.embed is not None:
+        emb = p.embed.data[numbers]
+        code = emb[:, None, :] + emb[None, :, :]
+    return reference_kernel(p, cfg, r, code)
+
+
+def two_atoms(r, z=(6, 8)):
+    """Distance matrix and atomic numbers of two atoms at distance r."""
+    return ad.constant([[0.0, r], [r, 0.0]]), np.array(z)
 
 
 def random_rotation(rng):
@@ -144,27 +182,33 @@ class TestBesselBasis:
 
 
 class TestAtomPairCode:
+    cfg = BasisConfig(n_basis=8)
+
     def make_params(self, rng):
-        return init_kernel_params(rng, BasisConfig(n_basis=8), d_m=8,
+        return init_kernel_params(rng, self.cfg, d_m=8,
                                   mode="atom_aware", d_rbf=8, d_emb2=4)
 
     def test_same_element_doubles(self, rng):
         p = self.make_params(rng)
-        code = atom_pair_code(p, 6, 6).data[0]
-        np.testing.assert_allclose(code, 2 * p.embed.data[6], atol=1e-15)
+        dist, numbers = two_atoms(1.4, (6, 6))
+        lam = kernel_tensor(p, self.cfg, dist, numbers).data
+        code = np.broadcast_to(2 * p.embed.data[6], (2, 2, 4))
+        np.testing.assert_allclose(lam, reference_kernel(p, self.cfg, dist.data, code),
+                                   atol=1e-12)
 
     def test_symmetry(self, rng):
         p = self.make_params(rng)
-        np.testing.assert_array_equal(atom_pair_code(p, 1, 8).data,
-                                      atom_pair_code(p, 8, 1).data)
+        a = kernel_tensor(p, self.cfg, *two_atoms(1.4, (1, 8))).data
+        b = kernel_tensor(p, self.cfg, *two_atoms(1.4, (8, 1))).data
+        np.testing.assert_array_equal(a[0, 1], b[0, 1])
 
     def test_unknown_element(self, rng):
         with pytest.raises(DataError):
-            atom_pair_code(self.make_params(rng), 0, 6)
+            kernel_tensor(self.make_params(rng), self.cfg, *two_atoms(1.4, (0, 6)))
 
     def test_gradient_hits_only_used_rows(self, rng):
         p = self.make_params(rng)
-        out = ad.tensor_sum(atom_pair_code(p, 1, 6))
+        out = ad.tensor_sum(kernel_tensor(p, self.cfg, *two_atoms(1.4, (1, 6))))
         (g,) = ad.grad(out, [p.embed])
         touched = np.where(np.any(g.data != 0, axis=1))[0]
         np.testing.assert_array_equal(touched, [1, 6])
@@ -176,33 +220,34 @@ class TestTwoBodyKernel:
     def test_symmetric_in_atoms(self, rng):
         p = init_kernel_params(rng, self.cfg, d_m=8, d_rbf=8, d_emb2=4)
         for r in rng.uniform(0.5, 4.0, 5):
-            a = two_body_kernel(p, self.cfg, ad.constant(r), 6, 8).data
-            b = two_body_kernel(p, self.cfg, ad.constant(r), 8, 6).data
-            np.testing.assert_array_equal(a, b)
+            a = kernel_tensor(p, self.cfg, *two_atoms(r, (6, 8))).data
+            b = kernel_tensor(p, self.cfg, *two_atoms(r, (8, 6))).data
+            np.testing.assert_array_equal(a[0, 1], b[0, 1])
+            np.testing.assert_array_equal(a[0, 1], a[1, 0])
 
     def test_layers_initialized_independently(self, rng):
         p1 = init_kernel_params(rng, self.cfg, d_m=8, d_rbf=8, d_emb2=4)
         p2 = init_kernel_params(rng, self.cfg, d_m=8, d_rbf=8, d_emb2=4)
-        a = two_body_kernel(p1, self.cfg, ad.constant(1.5), 1, 6).data
-        b = two_body_kernel(p2, self.cfg, ad.constant(1.5), 1, 6).data
+        a = kernel_tensor(p1, self.cfg, *two_atoms(1.5, (1, 6))).data[0, 1]
+        b = kernel_tensor(p2, self.cfg, *two_atoms(1.5, (1, 6))).data[0, 1]
         assert np.max(np.abs(a - b)) > 1e-6
 
     def test_zero_weights_give_zero(self, rng):
         p = init_kernel_params(rng, self.cfg, d_m=8, d_rbf=8, d_emb2=4)
         for t in (p.w1, p.b1, p.w2, p.b2):
             t.data = np.zeros_like(t.data)
-        out = two_body_kernel(p, self.cfg, ad.constant(2.0), 6, 6).data
-        np.testing.assert_array_equal(out, np.zeros(8))
+        out = kernel_tensor(p, self.cfg, *two_atoms(2.0, (6, 6))).data
+        np.testing.assert_array_equal(out, np.zeros((2, 2, 8)))
 
     def test_plain_mode_needs_no_atoms(self, rng):
         p = init_kernel_params(rng, self.cfg, d_m=8, mode="plain", d_rbf=8)
-        out = two_body_kernel(p, self.cfg, ad.constant(2.0))
-        assert out.shape == (8,)
+        out = kernel_tensor(p, self.cfg, two_atoms(2.0)[0], None)
+        assert out.shape == (2, 2, 8)
 
     def test_plain_mode_rejects_missing_numbers_when_atom_aware(self, rng):
         p = init_kernel_params(rng, self.cfg, d_m=8, d_rbf=8, d_emb2=4)
         with pytest.raises(ConfigError):
-            two_body_kernel(p, self.cfg, ad.constant(2.0))
+            kernel_tensor(p, self.cfg, two_atoms(2.0)[0], None)
 
     @pytest.mark.parametrize("kind", ["gaussian", "linear", "bessel"])
     def test_gradient_wrt_distance(self, rng, kind):
@@ -210,11 +255,13 @@ class TestTwoBodyKernel:
         p = init_kernel_params(rng, cfg, d_m=8, d_rbf=8, d_emb2=4)
         r0 = 1.7
         r = ad.parameter(r0)
-        out = ad.tensor_sum(ad.square(two_body_kernel(p, cfg, r, 6, 8)))
+        off = np.array([[0.0, 1.0], [1.0, 0.0]])
+        numbers = np.array([6, 8])
+        out = ad.tensor_sum(ad.square(kernel_tensor(p, cfg, ad.mul(r, off), numbers)))
         (g,) = ad.grad(out, [r])
 
         def forward(rv):
-            t = two_body_kernel(p, cfg, ad.constant(rv[()]), 6, 8)
+            t = kernel_tensor(p, cfg, ad.constant(rv[()] * off), numbers)
             return float((t.data ** 2).sum())
 
         (n,) = numeric_grad(forward, [np.array(r0)])
@@ -229,6 +276,14 @@ class TestKernelTensor:
         numbers = rng.choice([1, 6, 7, 8], 5)
         dist = pairwise_distances(ad.constant(coords))
         lam = kernel_tensor(p, cfg, dist, numbers).data
+        np.testing.assert_array_equal(lam, lam.transpose(1, 0, 2))
+
+    def test_symmetric_exactly_at_twenty_atoms(self, rng):
+        cfg = BasisConfig(n_basis=8)
+        p = init_kernel_params(rng, cfg, d_m=8, d_rbf=8, d_emb2=4)
+        coords = rng.uniform(-4, 4, (20, 3))
+        numbers = rng.choice([1, 6, 7, 8], 20)
+        lam = kernel_tensor(p, cfg, pairwise_distances(ad.constant(coords)), numbers).data
         np.testing.assert_array_equal(lam, lam.transpose(1, 0, 2))
 
     def test_diagonal_defined_and_finite(self, rng):
@@ -248,10 +303,23 @@ class TestKernelTensor:
         lam = kernel_tensor(p, cfg, dist, numbers).data
         for i in range(4):
             for j in range(4):
-                single = two_body_kernel(p, cfg,
-                                         ad.constant(dist.data[i, j]),
-                                         numbers[i], numbers[j]).data
+                code = p.embed.data[numbers[i]] + p.embed.data[numbers[j]]
+                single = reference_kernel(p, cfg, dist.data[i, j], code)
                 np.testing.assert_allclose(lam[i, j], single, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["plain", "atom_aware"])
+    @pytest.mark.parametrize("kind", ["gaussian", "bessel", "linear"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_matches_dense_reference(self, rng, n, kind, mode):
+        cfg = BasisConfig(kind=kind, n_basis=8)
+        p = init_kernel_params(rng, cfg, d_m=8, mode=mode, d_rbf=8, d_emb2=4)
+        p.b1.data = rng.normal(size=8)
+        p.b2.data = rng.normal(size=8)
+        coords = rng.uniform(-2, 2, (n, 3))
+        numbers = rng.choice([1, 6, 7, 8], n)
+        lam = kernel_tensor(p, cfg, pairwise_distances(ad.constant(coords)), numbers).data
+        np.testing.assert_allclose(lam, reference_tensor(p, cfg, coords, numbers),
+                                   rtol=0, atol=1e-12)
 
 
 class TestBasisConfigValidation:

@@ -140,6 +140,22 @@ class TestEnergyInvariances:
         assert abs(model.energy(permuted) - model.energy(mol)) < 1e-8
 
 
+class TestEnergy:
+    def test_same_bits_as_forward_parts(self, rng):
+        model = GeoTModel.init(small_config(use_attn_scale=True), seed=0)
+        mol = random_molecule(rng, n=5)
+        assert model.energy(mol) == model.forward_parts(mol)[0].item()
+
+    def test_records_no_graph(self, rng):
+        model = GeoTModel.init(small_config(), seed=0)
+        mol = random_molecule(rng, n=4)
+        energies = []
+        inner = model.forward_parts
+        model.forward_parts = lambda m: energies.append(inner(m)[0]) or (energies[-1], None)
+        model.energy(mol)
+        assert energies[0].parents == () and not energies[0].requires_grad
+
+
 class TestForces:
     def test_matches_finite_differences(self, rng):
         model = GeoTModel.init(small_config(), seed=0)
@@ -234,6 +250,15 @@ class TestCheckpoints:
         loaded = load_checkpoint(io.BytesIO(blob))
         mol = random_molecule(rng)
         assert loaded.energy(mol) == model.energy(mol)
+
+    def test_nonfinite_parameter_rejected(self, tmp_path):
+        model = GeoTModel.init(small_config(), seed=0)
+        model.layers[0].ffn_b1.data[0] = np.inf
+        model.w_pool.data[1, 0] = np.nan
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, path)
+        with pytest.raises(ConfigError, match="layer0.ffn_b1, w_pool"):
+            load_checkpoint(path)
 
     def test_shape_mismatch_detected(self, tmp_path):
         model = GeoTModel.init(small_config(), seed=0)

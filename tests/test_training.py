@@ -92,6 +92,30 @@ class TestLosses:
         leaf.data = base
         assert rel_err(g.data, num) < 1e-4
 
+    @pytest.mark.parametrize("kind", ["gaussian", "bessel", "linear"])
+    def test_all_parameter_gradients_along_direction_vs_fd(self, kind):
+        # double backward through every parameter of a 2-layer model
+        model = tiny_model(seed=1, n_layers=2, basis=BasisConfig(kind=kind, n_basis=8))
+        mol = tiny_dataset(n=2).molecules[0]
+        cfg = TrainConfig(force_weight=10.0)
+        params = model.params()
+        rng = np.random.default_rng(7)
+        direction = {k: rng.normal(size=t.shape) for k, t in params.items()}
+        norm = np.sqrt(sum(np.sum(d * d) for d in direction.values()))
+        grads = ad.grad(molecule_loss(model, mol, cfg), params.values())
+        analytic = sum(float(np.sum(g.data * direction[k])) / norm
+                       for k, g in zip(params, grads))
+        base = {k: t.data.copy() for k, t in params.items()}
+
+        def loss_at(step):
+            for k, t in params.items():
+                t.data = base[k] + step * direction[k] / norm
+            return molecule_loss(model, mol, cfg).item()
+
+        h = 1e-6
+        numeric = (loss_at(h) - loss_at(-h)) / (2 * h)
+        assert abs(numeric - analytic) / abs(analytic) < 1e-5
+
     def test_energy_only_loss_when_forces_disabled(self):
         model = tiny_model()
         mol = tiny_dataset(n=2).molecules[0]
