@@ -1,14 +1,15 @@
-"""Multi-head self-attention: softmax baseline, the softmax-free
-geometry-gated variant, and the row-mean-preserving AttnScale refinement.
+"""Multi-head self-attention: the softmax-free geometry-gated map, its
+softmax baseline, and the row-mean-preserving AttnScale refinement.
 
 The geometry-gated logits contract the per-channel query/key products with
 the pair-kernel channels before summation:
 
-    A_ij = sum_c Q_ic * K_jc * Lambda_ijc / sqrt(scale)
+    A_ijh = sum_c Q_ihc * K_jhc * Lambda_ijhc / sqrt(scale)
 
 so the kernel acts as a per-channel gate.  No softmax follows; the map is
 applied to V as-is, which keeps the whole head exactly linear in V and in
-Lambda.
+Lambda.  The softmax baseline builds softmax_j(Q_ih . K_jh / sqrt(scale))
+instead; both maps go through the same contraction A_ijh V_jhc.
 """
 
 from __future__ import annotations
@@ -94,12 +95,6 @@ def qkv_project(x: ad.Tensor, params: AttentionParams, cfg: AttentionConfig):
     return q, k, v
 
 
-def standard_attention(q: ad.Tensor, k: ad.Tensor, v: ad.Tensor, scale: float) -> ad.Tensor:
-    """softmax(Q K^T / sqrt(scale)) V for a single head (2-D inputs)."""
-    logits = ad.mul(ad.matmul(q, ad.transpose(k, (1, 0))), 1.0 / np.sqrt(scale))
-    return ad.matmul(ad.softmax_rows(logits), v)
-
-
 def geo_attention_logits(q: ad.Tensor, k: ad.Tensor, lam: ad.Tensor,
                          scale: float) -> ad.Tensor:
     """Kernel-gated unnormalized logits for all heads at once.
@@ -107,11 +102,8 @@ def geo_attention_logits(q: ad.Tensor, k: ad.Tensor, lam: ad.Tensor,
     q, k: N x h x c; lam: N x N x (h*c).  Returns N x N x h.
     """
     n, h, c = q.shape
-    qe = ad.reshape(q, (n, 1, h, c))
-    ke = ad.reshape(k, (1, n, h, c))
     lam4 = ad.reshape(lam, (n, n, h, c))
-    gated = ad.mul(ad.mul(qe, ke), lam4)
-    return ad.mul(ad.tensor_sum(gated, axis=3), 1.0 / np.sqrt(scale))
+    return ad.mul(ad.einsum("ihc,jhc,ijhc->ijh", q, k, lam4), 1.0 / np.sqrt(scale))
 
 
 def attn_scale(a: ad.Tensor, w_a: ad.Tensor) -> ad.Tensor:
@@ -124,35 +116,23 @@ def attn_scale(a: ad.Tensor, w_a: ad.Tensor) -> ad.Tensor:
     return ad.add(dc, ad.mul(hf, ad.add(w_a, 1.0)))
 
 
-def geo_msa(x: ad.Tensor, lam: ad.Tensor, params: AttentionParams,
+def geo_msa(x: ad.Tensor, lam: "ad.Tensor | None", params: AttentionParams,
             cfg: AttentionConfig, layer: int = 0,
             trace: "list[AttentionRecord] | None" = None) -> ad.Tensor:
-    """Softmax-free multi-head attention gated by the pair kernel."""
+    """Multi-head attention: softmax-free and gated by the pair kernel
+    ``lam``, or the softmax baseline (``lam`` unused) when the config asks."""
     n = x.shape[0]
     q, k, v = qkv_project(x, params, cfg)
-    a = geo_attention_logits(q, k, lam, cfg.scale)          # N x N x h
-    if cfg.use_attn_scale:
-        a = attn_scale(a, params.w_a)
+    if cfg.use_softmax_baseline:
+        logits = ad.mul(ad.einsum("ihc,jhc->ijh", q, k), 1.0 / np.sqrt(cfg.scale))
+        a = ad.softmax(logits, axis=1)                      # N x N x h
+    else:
+        a = geo_attention_logits(q, k, lam, cfg.scale)      # N x N x h
+        if cfg.use_attn_scale:
+            a = attn_scale(a, params.w_a)
     if trace is not None:
         trace.append(AttentionRecord(layer=layer, logits=a.data.copy()))
-    # per head: A'(h) @ V(h), then concat the head outputs
-    a_h = ad.transpose(a, (2, 0, 1))                        # h x N x N
-    v_h = ad.transpose(v, (1, 0, 2))                        # h x N x c
-    out = ad.transpose(ad.matmul(a_h, v_h), (1, 0, 2))      # N x h x c
-    return ad.reshape(out, (n, cfg.d_m))
-
-
-def softmax_msa(x: ad.Tensor, params: AttentionParams, cfg: AttentionConfig) -> ad.Tensor:
-    """Standard softmax multi-head self-attention (baseline path)."""
-    n = x.shape[0]
-    q, k, v = qkv_project(x, params, cfg)
-    heads = []
-    for h in range(cfg.n_heads):
-        qh = ad.reshape(ad.slice_axis(q, 1, h, h + 1), (n, cfg.head_dim))
-        kh = ad.reshape(ad.slice_axis(k, 1, h, h + 1), (n, cfg.head_dim))
-        vh = ad.reshape(ad.slice_axis(v, 1, h, h + 1), (n, cfg.head_dim))
-        heads.append(standard_attention(qh, kh, vh, cfg.scale))
-    return ad.concat(heads, axis=1)
+    return ad.reshape(ad.einsum("ijh,jhc->ihc", a, v), (n, cfg.d_m))
 
 
 def dump_attention_norms(records: "list[AttentionRecord]") -> dict[int, np.ndarray]:

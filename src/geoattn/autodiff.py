@@ -15,13 +15,13 @@ training loss whose parameter gradient we then need.  With
 No closure holds its own output node, so a graph is freed by reference
 counting as soon as its output is dropped.
 
-Default precision is float64; float32 can be opted into via
-:func:`set_default_dtype`.
+Every tensor is float64 (:data:`DEFAULT_DTYPE`).
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import weakref
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -39,14 +39,6 @@ class ShapeError(ValueError):
 
 class NonFiniteError(FloatingPointError):
     """A NaN or Inf showed up where the engine requires finite values."""
-
-
-def set_default_dtype(dtype) -> None:
-    global DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dtype}")
-    DEFAULT_DTYPE = dtype.type
 
 
 class Tensor:
@@ -236,17 +228,6 @@ def mean(a, axis=None, keepdims=False) -> Tensor:
     return tensor_sum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
 
 
-def concat(parts: Sequence, axis: int = 0) -> Tensor:
-    parts = [_coerce(p) for p in parts]
-    data = np.concatenate([p.data for p in parts], axis=axis)
-    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
-    vjps = []
-    for i in range(len(parts)):
-        start, stop = int(offsets[i]), int(offsets[i + 1])
-        vjps.append(lambda g, s=start, e=stop: slice_axis(g, axis, s, e))
-    return _node(data, parts, vjps)
-
-
 def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
     a = _coerce(a)
     idx = [slice(None)] * a.ndim
@@ -398,14 +379,6 @@ def exp(a) -> Tensor:
     return _with_output_vjp(_node(data, [a], [None]), lambda g, out: mul(g, out))
 
 
-def log(a) -> Tensor:
-    a = _coerce(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        data = np.log(a.data)
-    _check_finite(data, "log")
-    return _node(data, [a], [lambda g: div(g, a)])
-
-
 def sqrt(a) -> Tensor:
     a = _coerce(a)
     with np.errstate(invalid="ignore"):
@@ -483,6 +456,56 @@ def matmul(a, b) -> Tensor:
                  [lambda g: matmul(g, swap(b)), lambda g: matmul(swap(a), g)])
 
 
+@functools.lru_cache(maxsize=None)
+def _einsum_terms(spec: str) -> tuple[tuple[str, ...], str]:
+    """Split ``"ab,bc->ac"`` into input terms and output term, and check
+    that every operand's vjp is again an einsum of the other terms."""
+    lhs, arrow, out = spec.partition("->")
+    if not arrow:
+        raise ShapeError(f"einsum {spec!r}: the output needs an explicit '->'")
+    terms = tuple(lhs.split(","))
+    for term in terms + (out,):
+        if len(set(term)) != len(term):
+            raise ShapeError(f"einsum {spec!r}: repeated index in {term!r}")
+    for idx in set(lhs.replace(",", "") + out):
+        if sum(idx in term for term in terms + (out,)) < 2:
+            raise ShapeError(f"einsum {spec!r}: index {idx!r} appears in one term only")
+    return terms, out
+
+
+def einsum(spec: str, *operands) -> Tensor:
+    """Differentiable ``np.einsum`` with an explicit output, e.g.
+    ``einsum("ihc,jhc->ijh", q, k)``.  The vjp of each operand is the einsum
+    of the incoming gradient with the other operands, so it differentiates
+    again like any other op."""
+    operands = [_coerce(t) for t in operands]
+    terms, out = _einsum_terms(spec)
+    if len(terms) != len(operands):
+        raise ShapeError(f"einsum {spec!r}: {len(terms)} terms for {len(operands)} operands")
+    # equal extents per index: numpy would broadcast a 1 against n, and the
+    # vjp would then return the wrong shape
+    extents: dict[str, int] = {}
+    for term, t in zip(terms, operands):
+        if len(term) != t.ndim:
+            raise ShapeError(f"einsum {spec!r}: {term!r} given a {t.ndim}-d operand")
+        for idx, n in zip(term, t.shape):
+            if extents.setdefault(idx, n) != n:
+                raise ShapeError(f"einsum {spec!r}: index {idx!r} has extents "
+                                 f"{extents[idx]} and {n}")
+
+    def vjp(k):
+        def back(g):
+            spec_k = ",".join((out,) + terms[:k] + terms[k + 1:]) + "->" + terms[k]
+            return einsum(spec_k, g, *operands[:k], *operands[k + 1:])
+        return back
+
+    # numpy runs an optimized two-operand contraction as a batched matmul;
+    # more operands run as one fused loop, so that no pairwise intermediate
+    # (such as the N x N x h x c product of the attention gate) is stored
+    data = np.einsum(spec, *(t.data for t in operands), optimize=len(operands) == 2)
+    return _node(data, operands, [vjp(k) for k in range(len(operands))])
+
+
 # ---------------------------------------------------------------------------
 # composite layers
 
@@ -504,12 +527,12 @@ def activation(kind: str, a) -> Tensor:
     raise ValueError(f"unknown activation kind {kind!r}")
 
 
-def softmax_rows(a) -> Tensor:
-    """Row softmax with detached row-max stabilization."""
+def softmax(a, axis: int = -1) -> Tensor:
+    """Softmax along ``axis``, stabilized by the detached maximum along it."""
     a = _coerce(a)
-    shift = np.max(a.data, axis=-1, keepdims=True)
+    shift = np.max(a.data, axis=axis, keepdims=True)
     e = exp(sub(a, shift))
-    return div(e, tensor_sum(e, axis=-1, keepdims=True))
+    return div(e, tensor_sum(e, axis=axis, keepdims=True))
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .attention import (AttentionConfig, AttentionParams, AttentionRecord,
-                        geo_msa, init_attention_params, softmax_msa)
+                        geo_msa, init_attention_params)
 from .errors import ConfigError, DataError
 from .geometry import (MAX_ATOMIC_NUMBER, BasisConfig, KernelParams, Molecule,
                        glorot, init_kernel_params, kernel_tensor,
@@ -158,11 +158,7 @@ class GeoTModel:
     def _block(self, x: ad.Tensor, lam, layer: LayerParams, index: int,
                trace) -> ad.Tensor:
         cfg = self.config
-        acfg = cfg.attention()
-        if cfg.use_softmax_baseline:
-            msa = softmax_msa(x, layer.attn, acfg)
-        else:
-            msa = geo_msa(x, lam, layer.attn, acfg, layer=index, trace=trace)
+        msa = geo_msa(x, lam, layer.attn, cfg.attention(), layer=index, trace=trace)
         if cfg.block_kind == "sequential":
             xt = ad.layer_norm(ad.add(msa, x), layer.ln_gains[0], layer.ln_biases[0])
             return ad.layer_norm(ad.add(ffn(xt, layer), xt),

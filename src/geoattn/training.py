@@ -60,12 +60,6 @@ def lr_schedule(step: int, cfg: TrainConfig) -> float:
 # losses
 
 
-def mae_loss(pred, target) -> ad.Tensor:
-    """Mean absolute error; scalars or same-shape tensors."""
-    pred = pred if isinstance(pred, ad.Tensor) else ad.constant(pred)
-    return ad.mean(ad.absolute(ad.sub(pred, target)))
-
-
 def composite_loss(e_label: float, e_hat: ad.Tensor, de_dr_label: np.ndarray,
                    coords: ad.Tensor, weight: float) -> ad.Tensor:
     """|E - Ê| + weight * sum_j |dE/dr_j - dÊ/dr_j|.

@@ -186,6 +186,7 @@ def _learning_dataset():
     return split_dataset(data, (500 / 600, 100 / 600, 0.0), seed=0)
 
 
+@pytest.mark.slow
 def test_07_desk_scale_learning():
     data = _learning_dataset()
     model = GeoTModel.init(ModelConfig(**LEARNING_MODEL), seed=1)
@@ -205,6 +206,7 @@ def test_07_desk_scale_learning():
            f"({1 / ratio:.1f}x) in {result.steps_run} steps, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_08_basis_ablation_ordering():
     data = _learning_dataset()
     results = {}

@@ -7,7 +7,7 @@ from geoattn.attention import (AttentionConfig, AttentionParams,
                                dump_attention_norms, format_attention_csv,
                                geo_attention_logits, geo_msa,
                                init_attention_params, parse_attention_csv,
-                               qkv_project, softmax_msa, standard_attention)
+                               qkv_project)
 from geoattn.errors import ConfigError, UsageError
 from conftest import numeric_grad, rel_err
 
@@ -70,28 +70,31 @@ class TestQKVProject:
         assert rel_err(g.data, n) < 1e-5
 
 
+def baseline_msa(x, params, heads):
+    cfg = AttentionConfig(d_m=x.shape[1], n_heads=heads, use_softmax_baseline=True)
+    return geo_msa(ad.constant(x), None, params, cfg).data
+
+
 class TestStandardAttention:
+    """The softmax baseline of geo_msa with identity projections, one head."""
+
     def test_single_atom_returns_v(self, rng):
         v = rng.uniform(-1, 1, (1, 4))
-        out = standard_attention(ad.constant(rng.uniform(-1, 1, (1, 4))),
-                                 ad.constant(rng.uniform(-1, 1, (1, 4))),
-                                 ad.constant(v), scale=4.0)
-        np.testing.assert_allclose(out.data, v, atol=1e-15)
+        out = baseline_msa(v, identity_params(4), heads=1)
+        np.testing.assert_allclose(out, v, atol=1e-15)
 
     def test_zero_query_gives_column_mean(self, rng):
-        k = rng.uniform(-1, 1, (5, 3))
-        v = rng.uniform(-1, 1, (5, 3))
-        out = standard_attention(ad.constant(np.zeros((5, 3))), ad.constant(k),
-                                 ad.constant(v), scale=3.0)
-        np.testing.assert_allclose(out.data, np.tile(v.mean(0), (5, 1)),
-                                   atol=1e-12)
+        x = rng.uniform(-1, 1, (5, 3))
+        params = identity_params(3)
+        params.wq = ad.constant(np.zeros((3, 3)))
+        out = baseline_msa(x, params, heads=1)
+        np.testing.assert_allclose(out, np.tile(x.mean(0), (5, 1)), atol=1e-12)
 
     def test_matches_dense_oracle(self, rng):
-        q = rng.uniform(-1, 1, (3, 4))
-        k = rng.uniform(-1, 1, (3, 4))
-        v = rng.uniform(-1, 1, (3, 4))
-        out = standard_attention(ad.constant(q), ad.constant(k),
-                                 ad.constant(v), scale=4.0).data
+        x = rng.uniform(-1, 1, (3, 4))
+        params = init_attention_params(rng, 4)
+        out = baseline_msa(x, params, heads=1)
+        q, k, v = (x @ w.data for w in (params.wq, params.wk, params.wv))
         logits = q @ k.T / 2.0
         e = np.exp(logits - logits.max(1, keepdims=True))
         w = e / e.sum(1, keepdims=True)
@@ -199,19 +202,17 @@ class TestGeoMSA:
         lam = np.ones((4, 4, 8))
         q, k, v = qkv_project(ad.constant(x), params, cfg)
         logits = geo_attention_logits(q, k, ad.constant(lam), cfg.scale)
+        soft = ad.softmax(logits, axis=1)
+        cfg.use_softmax_baseline = True
+        ref = geo_msa(ad.constant(x), None, params, cfg).data.reshape(4, 2, 4)
         for hh in range(2):
-            soft = ad.matmul(
-                ad.softmax_rows(ad.constant(logits.data[:, :, hh])),
-                ad.constant(v.data[:, hh, :]))
-            ref = standard_attention(
-                ad.constant(q.data[:, hh, :]), ad.constant(k.data[:, hh, :]),
-                ad.constant(v.data[:, hh, :]), cfg.scale)
-            np.testing.assert_allclose(soft.data, ref.data, atol=1e-12)
+            np.testing.assert_allclose(soft.data[:, :, hh] @ v.data[:, hh, :],
+                                       ref[:, hh, :], atol=1e-12)
 
     def test_softmax_msa_runs(self, rng):
         cfg = AttentionConfig(d_m=8, n_heads=2, use_softmax_baseline=True)
         params = init_attention_params(rng, 8)
-        out = softmax_msa(ad.constant(rng.uniform(-1, 1, (3, 8))), params, cfg)
+        out = geo_msa(ad.constant(rng.uniform(-1, 1, (3, 8))), None, params, cfg)
         assert out.shape == (3, 8)
 
 
