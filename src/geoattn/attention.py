@@ -14,36 +14,12 @@ instead; both maps go through the same contraction A_ijh V_jhc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, UsageError
-
-
-@dataclass
-class AttentionConfig:
-    d_m: int = 64
-    n_heads: int = 4
-    use_softmax_baseline: bool = False
-    use_attn_scale: bool = False
-    # True: per-head sqrt(d_m / h) scaling; False: sqrt(d_m)
-    scale_per_head: bool = True
-
-    def __post_init__(self):
-        if self.n_heads < 1:
-            raise ConfigError("need at least one head")
-        if self.d_m % self.n_heads != 0:
-            raise ConfigError(f"d_m={self.d_m} not divisible by n_heads={self.n_heads}")
-
-    @property
-    def head_dim(self) -> int:
-        return self.d_m // self.n_heads
-
-    @property
-    def scale(self) -> float:
-        return float(self.head_dim if self.scale_per_head else self.d_m)
 
 
 @dataclass
@@ -80,7 +56,7 @@ def init_attention_params(rng: np.random.Generator, d_m: int) -> AttentionParams
     )
 
 
-def qkv_project(x: ad.Tensor, params: AttentionParams, cfg: AttentionConfig):
+def qkv_project(x: ad.Tensor, params: AttentionParams, cfg: "ModelConfig"):
     """Project with the full d_m x d_m weights and split into h head chunks.
 
     Returns (q, k, v), each of shape N x h x head_dim.
@@ -117,10 +93,11 @@ def attn_scale(a: ad.Tensor, w_a: ad.Tensor) -> ad.Tensor:
 
 
 def geo_msa(x: ad.Tensor, lam: "ad.Tensor | None", params: AttentionParams,
-            cfg: AttentionConfig, layer: int = 0,
+            cfg: "ModelConfig", layer: int = 0,
             trace: "list[AttentionRecord] | None" = None) -> ad.Tensor:
     """Multi-head attention: softmax-free and gated by the pair kernel
-    ``lam``, or the softmax baseline (``lam`` unused) when the config asks."""
+    ``lam``, or the softmax baseline (``lam`` unused) when the model's
+    ``ModelConfig`` asks."""
     n = x.shape[0]
     q, k, v = qkv_project(x, params, cfg)
     if cfg.use_softmax_baseline:
@@ -153,22 +130,3 @@ def format_attention_csv(records: "list[AttentionRecord]") -> str:
             for j in range(n):
                 lines.append(f"{layer},avg,{i},{j},{m[i, j]:.17g}")
     return "\n".join(lines) + "\n"
-
-
-def parse_attention_csv(text: str) -> dict[int, np.ndarray]:
-    """Inverse of :func:`format_attention_csv`."""
-    rows = {}
-    lines = text.strip().splitlines()
-    if not lines or lines[0] != "layer,head_avg,i,j,value":
-        raise UsageError("not an attention dump")
-    for line in lines[1:]:
-        layer_s, _, i_s, j_s, v_s = line.split(",")
-        rows.setdefault(int(layer_s), {})[(int(i_s), int(j_s))] = float(v_s)
-    out = {}
-    for layer, entries in rows.items():
-        n = int(np.sqrt(len(entries)))
-        m = np.zeros((n, n))
-        for (i, j), v in entries.items():
-            m[i, j] = v
-        out[layer] = m
-    return out

@@ -519,14 +519,6 @@ def swish(a) -> Tensor:
     return mul(a, sigmoid(a))
 
 
-def activation(kind: str, a) -> Tensor:
-    if kind == "ELU":
-        return elu(a)
-    if kind == "swish":
-        return swish(a)
-    raise ValueError(f"unknown activation kind {kind!r}")
-
-
 def softmax(a, axis: int = -1) -> Tensor:
     """Softmax along ``axis``, stabilized by the detached maximum along it."""
     a = _coerce(a)

@@ -16,20 +16,22 @@ from pathlib import Path
 import numpy as np
 
 from .attention import AttentionRecord, format_attention_csv
-from .config import SCHEMA, RunConfig
+from .config import KEYS, RunConfig
 from .data import (Dataset, load_dataset, parse_xyz_frames, split_dataset,
                    write_xyz_frames)
 from .errors import ConfigError, DataError, UsageError
 from .geometry import Molecule, distance_matrix
 from .gradcheck import force_gradcheck
-from .model import GeoTModel, load_checkpoint, save_checkpoint
-from .training import generate_synthetic, train
+from .model import GeoTModel, ModelConfig, load_checkpoint, save_checkpoint
+from .training import SyntheticSpec, TrainConfig, generate_synthetic, train
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    for key in SCHEMA:
-        parser.add_argument(f"--{key}", dest=f"cfg_{key}", default=None,
-                            metavar="V", help=argparse.SUPPRESS)
+    group = parser.add_argument_group("run config keys (override the file)")
+    for key, (typ, default) in KEYS.items():
+        shown = ",".join(map(str, default)) if typ is tuple else repr(default)
+        group.add_argument(f"--{key}", dest=f"cfg_{key}", default=None,
+                           metavar="V", help=f"{typ.__name__}, default {shown}")
 
 
 def _run_config(args) -> RunConfig:
@@ -41,7 +43,7 @@ def _run_config(args) -> RunConfig:
     else:
         cfg = RunConfig()
     overrides = {key: getattr(args, f"cfg_{key}")
-                 for key in SCHEMA if getattr(args, f"cfg_{key}", None) is not None}
+                 for key in KEYS if getattr(args, f"cfg_{key}", None) is not None}
     cfg = cfg.override(overrides)
     env_out = os.environ.get("GEOATTN_OUT_DIR")
     if env_out:
@@ -50,12 +52,13 @@ def _run_config(args) -> RunConfig:
 
 
 def _build_dataset(cfg: RunConfig) -> Dataset:
+    fractions = (cfg["train_fraction"], cfg["val_fraction"], cfg["test_fraction"])
     if cfg["data_path"]:
         if not Path(cfg["data_path"]).exists():
             raise ConfigError(f"dataset not found: {cfg['data_path']}")
-        return load_dataset(cfg["data_path"], cfg.fractions(), cfg["seed"])
-    data = generate_synthetic(cfg.synthetic_spec(), seed=cfg["seed"])
-    return split_dataset(data, cfg.fractions(), cfg["seed"])
+        return load_dataset(cfg["data_path"], fractions, cfg["seed"])
+    data = generate_synthetic(cfg.build(SyntheticSpec), seed=cfg["seed"])
+    return split_dataset(data, fractions, cfg["seed"])
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -66,10 +69,11 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def cmd_train(args) -> int:
     cfg = _run_config(args)
+    model_cfg, train_cfg = cfg.build(ModelConfig), cfg.build(TrainConfig)
     out = _out_dir(cfg)
     dataset = _build_dataset(cfg)
-    model = GeoTModel.init(cfg.model_config(), seed=cfg["seed"])
-    result = train(model, dataset, cfg.train_config())
+    model = GeoTModel.init(model_cfg, seed=cfg["seed"])
+    result = train(model, dataset, train_cfg)
     (out / "metrics.csv").write_text(result.metrics_csv())
     if result.best_checkpoint is not None:
         (out / "best.npz").write_bytes(result.best_checkpoint)
@@ -132,7 +136,7 @@ def cmd_forces(args) -> int:
 def cmd_gradcheck(args) -> int:
     cfg = None
     if args.config:
-        cfg = _run_config(args).model_config()
+        cfg = _run_config(args).build(ModelConfig)
     if args.trials == 0:
         print("warning: 0 trials requested; nothing checked, trivially passing")
         return 0
@@ -152,8 +156,8 @@ def cmd_ablate_basis(args) -> int:
     rows = []
     for kind in ("gaussian", "linear", "bessel"):
         run = cfg.override({"basis_kind": kind})
-        model = GeoTModel.init(run.model_config(), seed=run["seed"])
-        result = train(model, dataset, run.train_config())
+        model = GeoTModel.init(run.build(ModelConfig), seed=run["seed"])
+        result = train(model, dataset, run.build(TrainConfig))
         rows.append((kind, result.best_val_mae))
         print(f"{kind}: val MAE {result.best_val_mae:.6g}")
     text = "basis,val_mae\n" + "".join(f"{k},{v:.17g}\n" for k, v in rows)

@@ -1,71 +1,54 @@
 """Flat ``key = value`` run configuration with typed validation.
 
-Every key is declared in ``SCHEMA``; unknown keys are hard errors so typos
-fail loudly.  The same key set is what the CLI exposes as ``--key value``
-overrides (CLI > config file > defaults).
+The keys are the fields of ``ModelConfig``, ``BasisConfig``, ``TrainConfig``
+and ``SyntheticSpec``, with their types and defaults, plus the data keys in
+``DATA_KEYS``; unknown keys are hard errors so typos fail loudly.  The same
+key set is what the CLI exposes as ``--key value`` overrides (CLI > config
+file > defaults).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
 from .errors import ConfigError
 from .geometry import BasisConfig
 from .model import ModelConfig
 from .training import SyntheticSpec, TrainConfig
 
-# key -> (type, default); max_steps uses 0 to mean "no limit"
-SCHEMA: dict = {
-    # model
-    "n_layers": (int, 4),
-    "d_m": (int, 64),
-    "n_heads": (int, 4),
-    "d_h": (int, 128),
-    "block_kind": (str, "sequential"),
-    "kernel_mode": (str, "atom_aware"),
-    "use_attn_scale": (bool, False),
-    "use_softmax_baseline": (bool, False),
-    "scale_per_head": (bool, True),
-    "d_rbf": (int, 64),
-    "d_emb2": (int, 64),
-    "force_sign": (str, "paper"),
-    # basis
-    "basis_kind": (str, "gaussian"),
-    "n_basis": (int, 64),
-    "gamma": (float, 10.0),
-    "delta": (float, 0.1),
-    "bessel_cutoff": (float, 5.0),
-    # training
-    "lr": (float, 2e-4),
-    "warmup_steps": (int, 3000),
-    "decay_factor": (float, 0.95),
-    "decay_every": (int, 200_000),
-    "batch_size": (int, 32),
-    "max_epochs": (int, 300),
-    "max_steps": (int, 0),
-    "eval_every": (int, 10_000),
-    "force_weight": (float, 1000.0),
-    "use_forces": (bool, True),
-    "normalize_targets": (bool, True),
-    "patience": (int, 10),
-    "seed": (int, 0),
-    # data
+# keys that no dataclass owns
+DATA_KEYS = {
     "data_path": (str, ""),
     "train_fraction": (float, 0.8),
     "val_fraction": (float, 0.1),
     "test_fraction": (float, 0.1),
     "out_dir": (str, "runs"),
-    # synthetic dataset (used when data_path is empty)
-    "synthetic_molecules": (int, 600),
-    "min_atoms": (int, 4),
-    "max_atoms": (int, 8),
-    "elements": (str, "1,6,7,8"),
-    "box": (float, 4.0),
 }
+# fields keyed under another name, and fields that are not keys (``basis``
+# is built from the BasisConfig keys; the others are set by code)
+RENAMED = {(BasisConfig, "kind"): "basis_kind",
+           (SyntheticSpec, "n_molecules"): "synthetic_molecules"}
+NOT_KEYS = {"basis", "out_shift", "out_scale", "atom_refs", "min_distance",
+            "pair_params"}
+
+
+def _keyed_fields(cls) -> dict:
+    """key -> (field name, type, default) for the keyed fields of ``cls``."""
+    hints = get_type_hints(cls)
+    return {RENAMED.get((cls, f.name), f.name): (f.name, hints[f.name], f.default)
+            for f in fields(cls) if f.name not in NOT_KEYS}
+
+
+# key -> (type, default)
+KEYS: dict = {key: (typ, default)
+              for cls in (ModelConfig, BasisConfig, TrainConfig, SyntheticSpec)
+              for key, (_, typ, default) in _keyed_fields(cls).items()} | DATA_KEYS
 
 
 def _convert(key: str, raw: str):
-    typ, _ = SCHEMA[key]
+    typ, _ = KEYS[key]
     raw = raw.strip()
     try:
         if typ is bool:
@@ -75,9 +58,14 @@ def _convert(key: str, raw: str):
             if lowered in ("false", "0", "no"):
                 return False
             raise ValueError(raw)
-        return typ(raw)
+        if typ is tuple:      # comma-separated integers, e.g. elements
+            return tuple(int(z) for z in raw.split(","))
+        value = typ(raw)
     except ValueError:
         raise ConfigError(f"bad value {raw!r} for key {key!r} (expected {typ.__name__})")
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"key {key!r} must be finite, got {raw!r}")
+    return value
 
 
 @dataclass
@@ -85,9 +73,9 @@ class RunConfig:
     values: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        merged = {k: d for k, (_, d) in SCHEMA.items()}
+        merged = {k: d for k, (_, d) in KEYS.items()}
         for k, v in self.values.items():
-            if k not in SCHEMA:
+            if k not in KEYS:
                 raise ConfigError(f"unknown config key {k!r}")
             merged[k] = v
         self.values = merged
@@ -105,7 +93,7 @@ class RunConfig:
             if "=" not in line:
                 raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
             key, raw = (part.strip() for part in line.split("=", 1))
-            if key not in SCHEMA:
+            if key not in KEYS:
                 raise ConfigError(f"line {lineno}: unknown config key {key!r}")
             values[key] = _convert(key, raw)
         return cls(values)
@@ -119,48 +107,16 @@ class RunConfig:
         """Apply string-valued overrides (e.g. from CLI flags)."""
         values = dict(self.values)
         for key, raw in updates.items():
-            if key not in SCHEMA:
+            if key not in KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
             values[key] = _convert(key, raw) if isinstance(raw, str) else raw
         return RunConfig(values)
 
-    # -- typed views --------------------------------------------------------
-
-    def basis_config(self) -> BasisConfig:
-        v = self.values
-        return BasisConfig(kind=v["basis_kind"], n_basis=v["n_basis"],
-                           gamma=v["gamma"], delta=v["delta"],
-                           bessel_cutoff=v["bessel_cutoff"])
-
-    def model_config(self) -> ModelConfig:
-        v = self.values
-        return ModelConfig(
-            n_layers=v["n_layers"], d_m=v["d_m"], n_heads=v["n_heads"],
-            d_h=v["d_h"], block_kind=v["block_kind"],
-            kernel_mode=v["kernel_mode"], basis=self.basis_config(),
-            use_attn_scale=v["use_attn_scale"],
-            use_softmax_baseline=v["use_softmax_baseline"],
-            scale_per_head=v["scale_per_head"], d_rbf=v["d_rbf"],
-            d_emb2=v["d_emb2"], force_sign=v["force_sign"])
-
-    def train_config(self) -> TrainConfig:
-        v = self.values
-        return TrainConfig(
-            lr=v["lr"], warmup_steps=v["warmup_steps"],
-            decay_factor=v["decay_factor"], decay_every=v["decay_every"],
-            batch_size=v["batch_size"], max_epochs=v["max_epochs"],
-            max_steps=v["max_steps"] or None, eval_every=v["eval_every"],
-            force_weight=v["force_weight"], use_forces=v["use_forces"],
-            normalize_targets=v["normalize_targets"], patience=v["patience"],
-            seed=v["seed"])
-
-    def synthetic_spec(self) -> SyntheticSpec:
-        v = self.values
-        elements = tuple(int(z) for z in v["elements"].split(","))
-        return SyntheticSpec(n_molecules=v["synthetic_molecules"],
-                             min_atoms=v["min_atoms"], max_atoms=v["max_atoms"],
-                             elements=elements, box=v["box"])
-
-    def fractions(self) -> tuple:
-        v = self.values
-        return (v["train_fraction"], v["val_fraction"], v["test_fraction"])
+    def build(self, cls):
+        """``ModelConfig``, ``BasisConfig``, ``TrainConfig`` or ``SyntheticSpec``
+        with every keyed field taken from this config."""
+        kwargs = {name: self.values[key]
+                  for key, (name, _, _) in _keyed_fields(cls).items()}
+        if cls is ModelConfig:
+            kwargs["basis"] = self.build(BasisConfig)
+        return cls(**kwargs)

@@ -59,7 +59,7 @@ class BasisConfig:
     """Radial basis family and its fixed hyperparameters."""
 
     kind: str = "gaussian"
-    n_basis: int = 300
+    n_basis: int = 64
     gamma: float = 10.0      # Gaussian width
     delta: float = 0.1       # Gaussian center spacing, Angstrom
     bessel_cutoff: float = 5.0
@@ -151,9 +151,8 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_kernel_params(rng: np.random.Generator, cfg: BasisConfig, d_m: int,
-                       mode: str = "atom_aware", d_rbf: int = 64,
-                       d_emb2: int = 64) -> KernelParams:
+def init_kernel_params(rng: np.random.Generator, cfg: BasisConfig, d_m: int, *,
+                       mode: str, d_rbf: int, d_emb2: int) -> KernelParams:
     if mode not in ("plain", "atom_aware"):
         raise ConfigError(f"unknown kernel mode {mode!r}")
     in_dim = cfg.n_basis + (d_emb2 if mode == "atom_aware" else 0)

@@ -70,8 +70,7 @@ class GradCheckReport:
 
 def force_gradcheck(n_trials: int = 5, seed: int = 0, max_atoms: int = 12,
                     config: ModelConfig | None = None, h: float = 1e-4,
-                    threshold: float = 1e-4,
-                    force_fn=None) -> GradCheckReport:
+                    threshold: float = 1e-4) -> GradCheckReport:
     """Compare analytic forces against central finite differences on random
     molecules with randomly drawn small architectures."""
     rng = np.random.default_rng(seed)
@@ -84,7 +83,7 @@ def force_gradcheck(n_trials: int = 5, seed: int = 0, max_atoms: int = 12,
             cfg = config
         model = GeoTModel.init(cfg, seed=int(rng.integers(1 << 31)))
         mol = random_molecule(rng, int(rng.integers(2, max_atoms + 1)))
-        analytic = force_fn(model, mol) if force_fn else model.forces(mol)
+        analytic = model.forces(mol)
         numeric = finite_diff_forces(model, mol, h)
         err = relative_error(analytic, numeric)
         report.per_trial.append(err)

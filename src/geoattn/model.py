@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .attention import (AttentionConfig, AttentionParams, AttentionRecord,
-                        geo_msa, init_attention_params)
+from .attention import (AttentionParams, AttentionRecord, geo_msa,
+                        init_attention_params)
 from .errors import ConfigError, DataError
 from .geometry import (MAX_ATOMIC_NUMBER, BasisConfig, KernelParams, Molecule,
                        glorot, init_kernel_params, kernel_tensor,
@@ -36,10 +36,10 @@ class ModelConfig:
     d_h: int = 128
     block_kind: str = "sequential"      # or "parallel_mlp"
     kernel_mode: str = "atom_aware"     # or "plain"
-    basis: BasisConfig = field(default_factory=lambda: BasisConfig(n_basis=64))
+    basis: BasisConfig = field(default_factory=BasisConfig)
     use_attn_scale: bool = False
     use_softmax_baseline: bool = False
-    scale_per_head: bool = True
+    scale_per_head: bool = True         # attention scale sqrt(d_m / h), else sqrt(d_m)
     d_rbf: int = 64
     d_emb2: int = 64
     force_sign: str = "paper"           # "paper": F = +dE/dr, "physical": F = -dE/dr
@@ -55,8 +55,9 @@ class ModelConfig:
     def __post_init__(self):
         if isinstance(self.basis, dict):
             self.basis = BasisConfig(**self.basis)
-        if self.n_layers < 1:
-            raise ConfigError("need at least one layer")
+        for name in ("n_layers", "d_m", "n_heads", "d_h", "d_rbf", "d_emb2"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.d_m % self.n_heads != 0:
             raise ConfigError("d_m must be divisible by n_heads")
         if self.block_kind not in ("sequential", "parallel_mlp"):
@@ -66,11 +67,13 @@ class ModelConfig:
         if self.force_sign not in ("paper", "physical"):
             raise ConfigError(f"unknown force sign {self.force_sign!r}")
 
-    def attention(self) -> AttentionConfig:
-        return AttentionConfig(d_m=self.d_m, n_heads=self.n_heads,
-                               use_softmax_baseline=self.use_softmax_baseline,
-                               use_attn_scale=self.use_attn_scale,
-                               scale_per_head=self.scale_per_head)
+    @property
+    def head_dim(self) -> int:
+        return self.d_m // self.n_heads
+
+    @property
+    def scale(self) -> float:
+        return float(self.head_dim if self.scale_per_head else self.d_m)
 
 
 @dataclass
@@ -158,7 +161,7 @@ class GeoTModel:
     def _block(self, x: ad.Tensor, lam, layer: LayerParams, index: int,
                trace) -> ad.Tensor:
         cfg = self.config
-        msa = geo_msa(x, lam, layer.attn, cfg.attention(), layer=index, trace=trace)
+        msa = geo_msa(x, lam, layer.attn, cfg, layer=index, trace=trace)
         if cfg.block_kind == "sequential":
             xt = ad.layer_norm(ad.add(msa, x), layer.ln_gains[0], layer.ln_biases[0])
             return ad.layer_norm(ad.add(ffn(xt, layer), xt),
@@ -194,10 +197,6 @@ class GeoTModel:
                                     molecule.atomic_numbers)
             x = self._block(x, lam, layer, i, trace)
         return x
-
-    def features(self, molecule: Molecule) -> np.ndarray:
-        """Per-atom feature matrix (N x d_m) after the last encoder block."""
-        return self._encode(molecule, ad.constant(molecule.coords), None).data.copy()
 
     def energy(self, molecule: Molecule) -> float:
         with ad.no_graph():

@@ -31,21 +31,21 @@ class TrainConfig:
     decay_every: int = 200_000
     batch_size: int = 32
     max_epochs: int = 300
-    max_steps: int | None = None
+    max_steps: int = 0            # 0: no limit
     eval_every: int = 10_000
     force_weight: float = 1000.0
     use_forces: bool = True
     normalize_targets: bool = True
     patience: int = 10
     seed: int = 0
-    # optional early exit once validation energy MAE drops below a target
-    stop_below_val_mae: float | None = None
 
     def __post_init__(self):
         for name in ("lr", "warmup_steps", "decay_factor", "decay_every",
                      "batch_size", "max_epochs", "eval_every"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if self.max_steps < 0:
+            raise ConfigError("max_steps must be >= 0")
 
 
 def lr_schedule(step: int, cfg: TrainConfig) -> float:
@@ -131,7 +131,7 @@ class SyntheticSpec:
     min_atoms: int = 4
     max_atoms: int = 8
     elements: tuple = (1, 6, 7, 8)
-    box: float = 5.0
+    box: float = 4.0
     min_distance: float = 0.8
     pair_params: dict | None = None   # (z_lo, z_hi) -> (well_depth, width, r_eq)
 
@@ -232,9 +232,13 @@ class TrainResult:
 
 def train(model: GeoTModel, dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     """Gradient-accumulation training with periodic validation and early
-    stopping on validation energy MAE.  A non-finite loss, gradient or
-    activation ends the run with ``stopped="diverged"``; the parameters are
-    then as before the failing step, and the best checkpoint is kept."""
+    stopping on validation energy MAE.
+
+    A non-finite value ends the run with ``stopped="diverged"`` and keeps the
+    best checkpoint.  If it arose in a training step (loss, gradient or
+    activation), the parameters are those from before the failing step.  If
+    it arose in a validation pass after step ``steps_run``, the parameters
+    are those that step produced, i.e. the ones that failed validation."""
     train_mols = dataset.subset("train")
     val_mols = dataset.subset("val")
     if not train_mols:
@@ -245,19 +249,37 @@ def train(model: GeoTModel, dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     rng = np.random.default_rng(cfg.seed)
     result = TrainResult(model=model)
 
-    def evaluate(step: int) -> float:
+    def evaluate(step: int) -> bool:
+        """Validate, keep the checkpoint if it is the best; True if it is."""
         val = energy_mae(model, val_mols)
         result.metrics.append((step, "val", "energy_mae", val))
-        return val
-
-    def snapshot(val: float) -> None:
         if val < result.best_val_mae:
             result.best_val_mae = val
             result.best_checkpoint = checkpoint_bytes(model)
+            return True
+        return False
+
+    def train_step(batch: list, step: int) -> float:
+        """One optimiser step on the batch; returns its mean loss."""
+        grads = {name: np.zeros_like(t.data) for name, t in params.items()}
+        batch_loss = 0.0
+        for mol in batch:
+            loss = molecule_loss(model, mol, cfg)
+            batch_loss += loss.item()
+            for name, g in zip(params, ad.grad(loss, params.values(),
+                                               create_graph=False)):
+                grads[name] += g.data
+        batch_loss /= len(batch)
+        if not np.isfinite(batch_loss):
+            raise ad.NonFiniteError("non-finite training loss")
+        for name in grads:
+            grads[name] /= len(batch)
+        opt.step(grads, lr_schedule(step, cfg))
+        return batch_loss
 
     # the step-0 entry is the untrained model as initialized; the output
     # normalization below is the first act of training, not part of init
-    snapshot(evaluate(0))
+    evaluate(0)
 
     if cfg.normalize_targets:
         # composition baseline: least-squares per-element reference energies
@@ -277,61 +299,35 @@ def train(model: GeoTModel, dataset: Dataset, cfg: TrainConfig) -> TrainResult:
         model.config.atom_refs = {str(z): float(c)
                                   for z, c in zip(elements, coef[1:])}
         model.config.out_scale = float(max(residual.std(), 1e-8))
-    bad_evals = 0
+
     step = 0
     running_loss = 0.0
-    done = False
-    for _epoch in range(cfg.max_epochs):
-        if done:
-            break
-        order = rng.permutation(len(train_mols))
-        for lo in range(0, len(order), cfg.batch_size):
-            batch = [train_mols[i] for i in order[lo:lo + cfg.batch_size]]
-            step += 1
-            grads = {name: np.zeros_like(t.data) for name, t in params.items()}
-            batch_loss = 0.0
-            try:
-                for mol in batch:
-                    loss = molecule_loss(model, mol, cfg)
-                    batch_loss += loss.item()
-                    for name, g in zip(params, ad.grad(loss, params.values(),
-                                                       create_graph=False)):
-                        grads[name] += g.data
-                batch_loss /= len(batch)
-                if not np.isfinite(batch_loss):
-                    raise ad.NonFiniteError("non-finite training loss")
-                for name in grads:
-                    grads[name] /= len(batch)
-                opt.step(grads, lr_schedule(step, cfg))
-            except ad.NonFiniteError:
-                result.stopped = "diverged"
-                done = True
-                break
-            running_loss = batch_loss
 
-            if step % cfg.eval_every == 0:
-                result.metrics.append((step, "train", "loss", running_loss))
-                val = evaluate(step)
-                if val < result.best_val_mae:
-                    bad_evals = 0
-                else:
-                    bad_evals += 1
-                snapshot(val)
-                if cfg.stop_below_val_mae is not None and val < cfg.stop_below_val_mae:
-                    result.stopped = "target_reached"
-                    done = True
-                    break
-                if bad_evals >= cfg.patience:
-                    result.stopped = "early_stopping"
-                    done = True
-                    break
-            if cfg.max_steps is not None and step >= cfg.max_steps:
-                result.stopped = "max_steps"
-                done = True
-                break
+    def run() -> str:
+        """Steps until a stopping rule fires; returns which one."""
+        nonlocal step, running_loss
+        bad_evals = 0
+        for _epoch in range(cfg.max_epochs):
+            order = rng.permutation(len(train_mols))
+            for lo in range(0, len(order), cfg.batch_size):
+                step += 1
+                running_loss = train_step(
+                    [train_mols[i] for i in order[lo:lo + cfg.batch_size]], step)
+                if step % cfg.eval_every == 0:
+                    result.metrics.append((step, "train", "loss", running_loss))
+                    bad_evals = 0 if evaluate(step) else bad_evals + 1
+                    if bad_evals >= cfg.patience:
+                        return "early_stopping"
+                if 0 < cfg.max_steps <= step:
+                    return "max_steps"
+        return "max_steps"
 
-    if step % cfg.eval_every != 0 and result.stopped not in ("diverged",):
-        result.metrics.append((step, "train", "loss", running_loss))
-        snapshot(evaluate(step))
+    try:
+        result.stopped = run()
+        if step % cfg.eval_every != 0:
+            result.metrics.append((step, "train", "loss", running_loss))
+            evaluate(step)
+    except ad.NonFiniteError:
+        result.stopped = "diverged"
     result.steps_run = step
     return result

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from geoattn import autodiff as ad
-from geoattn.attention import AttentionConfig, attn_scale, geo_msa, init_attention_params
+from geoattn.attention import attn_scale, geo_msa, init_attention_params
 from geoattn.cli import main
 from geoattn.data import split_dataset, write_xyz
 from geoattn.geometry import (BasisConfig, Molecule, bessel_basis,
@@ -49,6 +49,11 @@ def test_01_force_gradient_oracle():
 
 # -- 2. symmetry suite -------------------------------------------------------
 
+def features(model, mol):
+    """Per-atom feature matrix (N x d_m) after the last encoder block."""
+    return model._encode(mol, ad.constant(mol.coords), None).data
+
+
 def test_02_symmetry_suite():
     rng = np.random.default_rng(7)
     model = GeoTModel.init(ModelConfig(
@@ -67,9 +72,9 @@ def test_02_symmetry_suite():
         worst["energy"] = max(worst["energy"],
                               abs(model.energy(moved) - e0),
                               abs(model.energy(permuted) - e0))
-        feats = model.features(mol)
+        feats = features(model, mol)
         worst["features"] = max(worst["features"], np.max(np.abs(
-            model.features(permuted) - feats[perm])))
+            features(model, permuted) - feats[perm])))
         f0 = model.forces(mol)
         f_rot = model.forces(Molecule(mol.atomic_numbers, mol.coords @ u.T))
         worst["forces"] = max(worst["forces"], np.max(np.abs(f_rot - f0 @ u.T)))
@@ -104,7 +109,7 @@ def test_03_attn_scale_contract():
 
 def test_04_value_linearity():
     rng = np.random.default_rng(4)
-    cfg = AttentionConfig(d_m=16, n_heads=4)
+    cfg = ModelConfig(d_m=16, n_heads=4)
     params = init_attention_params(rng, 16)
     x = ad.constant(rng.uniform(-1, 1, (5, 16)))
     lam = ad.constant(rng.uniform(-1, 1, (5, 5, 16)))
@@ -127,7 +132,8 @@ def test_05_kernel_symmetry():
     cfg = BasisConfig(n_basis=16)
     worst = 0.0
     for _ in range(10):
-        p = init_kernel_params(rng, cfg, d_m=16, d_rbf=16, d_emb2=8)
+        p = init_kernel_params(rng, cfg, d_m=16, mode="atom_aware",
+                               d_rbf=16, d_emb2=8)
         mol = random_molecule(rng, 6)
         dist = pairwise_distances(ad.constant(mol.coords))
         lam = kernel_tensor(p, cfg, dist, mol.atomic_numbers).data

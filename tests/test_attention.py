@@ -2,14 +2,31 @@ import numpy as np
 import pytest
 
 from geoattn import autodiff as ad
-from geoattn.attention import (AttentionConfig, AttentionParams,
-                               AttentionRecord, attn_scale,
+from geoattn.attention import (AttentionParams, AttentionRecord, attn_scale,
                                dump_attention_norms, format_attention_csv,
                                geo_attention_logits, geo_msa,
-                               init_attention_params, parse_attention_csv,
-                               qkv_project)
+                               init_attention_params, qkv_project)
 from geoattn.errors import ConfigError, UsageError
+from geoattn.model import ModelConfig
 from conftest import numeric_grad, rel_err
+
+
+def parse_attention_csv(text: str) -> dict[int, np.ndarray]:
+    """Inverse of ``format_attention_csv``: layer -> head-averaged N x N map."""
+    lines = text.strip().splitlines()
+    assert lines[0] == "layer,head_avg,i,j,value"
+    rows = {}
+    for line in lines[1:]:
+        layer_s, _, i_s, j_s, v_s = line.split(",")
+        rows.setdefault(int(layer_s), {})[(int(i_s), int(j_s))] = float(v_s)
+    out = {}
+    for layer, entries in rows.items():
+        n = int(np.sqrt(len(entries)))
+        m = np.zeros((n, n))
+        for (i, j), v in entries.items():
+            m[i, j] = v
+        out[layer] = m
+    return out
 
 
 def identity_params(d_m):
@@ -22,19 +39,19 @@ def identity_params(d_m):
 class TestConfig:
     def test_divisibility(self):
         with pytest.raises(ConfigError):
-            AttentionConfig(d_m=10, n_heads=4)
+            ModelConfig(d_m=10, n_heads=4)
 
     def test_scale_modes(self):
-        cfg = AttentionConfig(d_m=8, n_heads=2)
+        cfg = ModelConfig(d_m=8, n_heads=2)
         assert cfg.scale == 4.0
-        cfg = AttentionConfig(d_m=8, n_heads=2, scale_per_head=False)
+        cfg = ModelConfig(d_m=8, n_heads=2, scale_per_head=False)
         assert cfg.scale == 8.0
 
 
 class TestQKVProject:
     def test_identity_single_head(self, rng):
         x = ad.constant(rng.uniform(-1, 1, (3, 4)))
-        cfg = AttentionConfig(d_m=4, n_heads=1)
+        cfg = ModelConfig(d_m=4, n_heads=1)
         q, k, v = qkv_project(x, identity_params(4), cfg)
         for t in (q, k, v):
             np.testing.assert_array_equal(t.data.reshape(3, 4), x.data)
@@ -42,7 +59,7 @@ class TestQKVProject:
     def test_head_split_concat_inverse(self, rng):
         x = rng.uniform(-1, 1, (3, 4))
         params = init_attention_params(rng, 4)
-        cfg = AttentionConfig(d_m=4, n_heads=2)
+        cfg = ModelConfig(d_m=4, n_heads=2)
         q, _, _ = qkv_project(ad.constant(x), params, cfg)
         full = x @ params.wq.data
         np.testing.assert_allclose(q.data.reshape(3, 4), full, atol=1e-14)
@@ -50,12 +67,12 @@ class TestQKVProject:
     def test_width_mismatch(self, rng):
         with pytest.raises(ConfigError):
             qkv_project(ad.constant(np.ones((3, 6))), identity_params(4),
-                        AttentionConfig(d_m=4, n_heads=1))
+                        ModelConfig(d_m=4, n_heads=1))
 
     def test_grad_wq_finite_differences(self, rng):
         x = rng.uniform(-1, 1, (3, 4))
         w = rng.uniform(-1, 1, (4, 4))
-        cfg = AttentionConfig(d_m=4, n_heads=2)
+        cfg = ModelConfig(d_m=4, n_heads=2)
 
         def build(wt):
             params = AttentionParams(wq=wt, wk=ad.constant(np.eye(4)),
@@ -71,7 +88,7 @@ class TestQKVProject:
 
 
 def baseline_msa(x, params, heads):
-    cfg = AttentionConfig(d_m=x.shape[1], n_heads=heads, use_softmax_baseline=True)
+    cfg = ModelConfig(d_m=x.shape[1], n_heads=heads, use_softmax_baseline=True)
     return geo_msa(ad.constant(x), None, params, cfg).data
 
 
@@ -158,7 +175,7 @@ class TestAttnScale:
 
 class TestGeoMSA:
     def setup_case(self, rng, n=4, d_m=8, heads=2, use_scale=False):
-        cfg = AttentionConfig(d_m=d_m, n_heads=heads, use_attn_scale=use_scale)
+        cfg = ModelConfig(d_m=d_m, n_heads=heads, use_attn_scale=use_scale)
         params = init_attention_params(rng, d_m)
         x = rng.uniform(-1, 1, (n, d_m))
         lam = rng.uniform(-1, 1, (n, n, d_m))
@@ -210,7 +227,7 @@ class TestGeoMSA:
                                        ref[:, hh, :], atol=1e-12)
 
     def test_softmax_msa_runs(self, rng):
-        cfg = AttentionConfig(d_m=8, n_heads=2, use_softmax_baseline=True)
+        cfg = ModelConfig(d_m=8, n_heads=2, use_softmax_baseline=True)
         params = init_attention_params(rng, 8)
         out = geo_msa(ad.constant(rng.uniform(-1, 1, (3, 8))), None, params, cfg)
         assert out.shape == (3, 8)

@@ -1,14 +1,18 @@
+import dataclasses
+import json
+import re
+
 import numpy as np
 import pytest
 
 from geoattn import training
 from geoattn.cli import main
-from geoattn.config import RunConfig
+from geoattn.config import KEYS, RunConfig
 from geoattn.data import parse_xyz_frames, write_xyz
 from geoattn.errors import ConfigError
 from geoattn.geometry import Molecule
 from geoattn.gradcheck import force_gradcheck
-from geoattn.model import load_checkpoint
+from geoattn.model import GeoTModel, ModelConfig, load_checkpoint
 
 TINY = """
 # tiny run for CLI tests
@@ -69,6 +73,94 @@ class TestRunConfig:
         assert cfg["use_forces"] is False
 
 
+# every run-config key with its type and default; a change here changes the
+# CLI and the config-file format
+EXPECTED_KEYS = {
+    "n_layers": (int, 4),
+    "d_m": (int, 64),
+    "n_heads": (int, 4),
+    "d_h": (int, 128),
+    "block_kind": (str, "sequential"),
+    "kernel_mode": (str, "atom_aware"),
+    "use_attn_scale": (bool, False),
+    "use_softmax_baseline": (bool, False),
+    "scale_per_head": (bool, True),
+    "d_rbf": (int, 64),
+    "d_emb2": (int, 64),
+    "force_sign": (str, "paper"),
+    "basis_kind": (str, "gaussian"),
+    "n_basis": (int, 64),
+    "gamma": (float, 10.0),
+    "delta": (float, 0.1),
+    "bessel_cutoff": (float, 5.0),
+    "lr": (float, 2e-4),
+    "warmup_steps": (int, 3000),
+    "decay_factor": (float, 0.95),
+    "decay_every": (int, 200_000),
+    "batch_size": (int, 32),
+    "max_epochs": (int, 300),
+    "max_steps": (int, 0),
+    "eval_every": (int, 10_000),
+    "force_weight": (float, 1000.0),
+    "use_forces": (bool, True),
+    "normalize_targets": (bool, True),
+    "patience": (int, 10),
+    "seed": (int, 0),
+    "data_path": (str, ""),
+    "train_fraction": (float, 0.8),
+    "val_fraction": (float, 0.1),
+    "test_fraction": (float, 0.1),
+    "out_dir": (str, "runs"),
+    "synthetic_molecules": (int, 600),
+    "min_atoms": (int, 4),
+    "max_atoms": (int, 8),
+    "elements": (tuple, (1, 6, 7, 8)),    # spelled 1,6,7,8 in files and flags
+    "box": (float, 4.0),
+}
+
+# a checkpoint's config JSON, with every ModelConfig field name
+CHECKPOINT_CONFIG = """{"n_layers": 2, "d_m": 8, "n_heads": 2, "d_h": 16,
+ "block_kind": "parallel_mlp", "kernel_mode": "plain",
+ "basis": {"kind": "bessel", "n_basis": 6, "gamma": 10.0, "delta": 0.1,
+           "bessel_cutoff": 4.0},
+ "use_attn_scale": true, "use_softmax_baseline": false,
+ "scale_per_head": false, "d_rbf": 8, "d_emb2": 4, "force_sign": "physical",
+ "out_shift": -1.5, "out_scale": 0.25, "atom_refs": {"1": -0.5, "6": -2.0}}"""
+
+
+class TestConfigContract:
+    def test_key_table(self):
+        assert KEYS == EXPECTED_KEYS
+        for key, (typ, default) in KEYS.items():
+            assert type(default) is typ, key
+
+    def test_checkpoint_config_json_loads(self, tmp_path):
+        fields = json.loads(CHECKPOINT_CONFIG)
+        cfg = ModelConfig(**fields)
+        assert dataclasses.asdict(cfg) == fields
+        blob = tmp_path / "m.npz"
+        model = GeoTModel.init(cfg, seed=0)
+        arrays = {f"param:{k}": t.data for k, t in model.params().items()}
+        np.savez(blob, __config__=np.frombuffer(CHECKPOINT_CONFIG.encode(),
+                                                dtype=np.uint8), **arrays)
+        assert dataclasses.asdict(load_checkpoint(blob).config) == fields
+
+    def test_elements_parse_to_tuple(self):
+        assert RunConfig.parse("elements = 1, 8\n")["elements"] == (1, 8)
+        with pytest.raises(ConfigError):
+            RunConfig.parse("elements = H,O\n")
+
+    @pytest.mark.parametrize("command", ["train", "ablate-basis"])
+    def test_help_lists_keys_with_defaults(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        text = capsys.readouterr().out
+        for key, (typ, _) in KEYS.items():
+            assert re.search(rf"--{key} V\s+{typ.__name__}, default ", text), key
+        assert re.search(r"--n_basis V\s+int, default 64\n", text)
+
+
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert main(["train", str(tmp_path / "nope.cfg")]) == 2
@@ -77,6 +169,15 @@ class TestExitCodes:
         cfg, _ = tiny_run
         cfg.write_text(cfg.read_text() + "banana = 3\n")
         assert main(["train", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("lr", "nan"), ("lr", "inf"), ("force_weight", "-inf"),
+        ("n_heads", "0"), ("d_m", "0"), ("n_layers", "0"), ("d_h", "0"),
+        ("d_rbf", "0"), ("d_emb2", "0"), ("max_steps", "-1")])
+    def test_bad_value_is_config_error(self, tiny_run, key, value):
+        cfg, tmp_path = tiny_run
+        assert main(["train", str(cfg), f"--{key}={value}"]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_missing_checkpoint(self, tmp_path):
         xyz = tmp_path / "m.xyz"
@@ -130,6 +231,20 @@ class TestTrainCommand:
         assert main(["train", str(cfg)]) == 1
         out = tmp_path / "out"
         assert (out / "metrics.csv").exists()
+        assert (out / "best.npz").exists()
+        assert not (out / "final.npz").exists()
+
+
+    @pytest.mark.parametrize("flags", [
+        ["--eval_every", "1"], ["--max_steps", "1", "--eval_every", "100"]],
+        ids=["periodic_eval", "final_eval"])
+    def test_nonfinite_validation_keeps_artifacts(self, tiny_run, flags):
+        # lr 1e300: step 1 is finite, the validation pass after it is not
+        cfg, tmp_path = tiny_run
+        assert main(["train", str(cfg), "--lr", "1e300", *flags]) == 1
+        out = tmp_path / "out"
+        rows = (out / "metrics.csv").read_text().strip().splitlines()[1:]
+        assert [r.split(",")[:2] for r in rows] == [["0", "val"], ["1", "train"]]
         assert (out / "best.npz").exists()
         assert not (out / "final.npz").exists()
 
@@ -188,10 +303,12 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--trials", "0"]) == 0
         assert "warning" in capsys.readouterr().out.lower()
 
-    def test_meta_corrupted_forces_fail(self):
-        # the checker itself must notice a deliberately wrong force function
-        bad = lambda model, mol: model.forces(mol) + 0.05
-        report = force_gradcheck(n_trials=2, seed=0, force_fn=bad)
+    def test_meta_corrupted_forces_fail(self, monkeypatch):
+        # the checker itself must notice deliberately wrong forces
+        inner = GeoTModel.forces
+        monkeypatch.setattr(GeoTModel, "forces",
+                            lambda model, mol: inner(model, mol) + 0.05)
+        report = force_gradcheck(n_trials=2, seed=0)
         assert not report.passed
 
 

@@ -218,7 +218,7 @@ class TestTwoBodyKernel:
     cfg = BasisConfig(n_basis=8)
 
     def test_symmetric_in_atoms(self, rng):
-        p = init_kernel_params(rng, self.cfg, d_m=8, d_rbf=8, d_emb2=4)
+        p = init_kernel_params(rng, self.cfg, d_m=8, mode="atom_aware", d_rbf=8, d_emb2=4)
         for r in rng.uniform(0.5, 4.0, 5):
             a = kernel_tensor(p, self.cfg, *two_atoms(r, (6, 8))).data
             b = kernel_tensor(p, self.cfg, *two_atoms(r, (8, 6))).data
@@ -226,33 +226,33 @@ class TestTwoBodyKernel:
             np.testing.assert_array_equal(a[0, 1], a[1, 0])
 
     def test_layers_initialized_independently(self, rng):
-        p1 = init_kernel_params(rng, self.cfg, d_m=8, d_rbf=8, d_emb2=4)
-        p2 = init_kernel_params(rng, self.cfg, d_m=8, d_rbf=8, d_emb2=4)
+        p1 = init_kernel_params(rng, self.cfg, d_m=8, mode="atom_aware", d_rbf=8, d_emb2=4)
+        p2 = init_kernel_params(rng, self.cfg, d_m=8, mode="atom_aware", d_rbf=8, d_emb2=4)
         a = kernel_tensor(p1, self.cfg, *two_atoms(1.5, (1, 6))).data[0, 1]
         b = kernel_tensor(p2, self.cfg, *two_atoms(1.5, (1, 6))).data[0, 1]
         assert np.max(np.abs(a - b)) > 1e-6
 
     def test_zero_weights_give_zero(self, rng):
-        p = init_kernel_params(rng, self.cfg, d_m=8, d_rbf=8, d_emb2=4)
+        p = init_kernel_params(rng, self.cfg, d_m=8, mode="atom_aware", d_rbf=8, d_emb2=4)
         for t in (p.w1, p.b1, p.w2, p.b2):
             t.data = np.zeros_like(t.data)
         out = kernel_tensor(p, self.cfg, *two_atoms(2.0, (6, 6))).data
         np.testing.assert_array_equal(out, np.zeros((2, 2, 8)))
 
     def test_plain_mode_needs_no_atoms(self, rng):
-        p = init_kernel_params(rng, self.cfg, d_m=8, mode="plain", d_rbf=8)
+        p = init_kernel_params(rng, self.cfg, d_m=8, mode="plain", d_rbf=8, d_emb2=4)
         out = kernel_tensor(p, self.cfg, two_atoms(2.0)[0], None)
         assert out.shape == (2, 2, 8)
 
     def test_plain_mode_rejects_missing_numbers_when_atom_aware(self, rng):
-        p = init_kernel_params(rng, self.cfg, d_m=8, d_rbf=8, d_emb2=4)
+        p = init_kernel_params(rng, self.cfg, d_m=8, mode="atom_aware", d_rbf=8, d_emb2=4)
         with pytest.raises(ConfigError):
             kernel_tensor(p, self.cfg, two_atoms(2.0)[0], None)
 
     @pytest.mark.parametrize("kind", ["gaussian", "linear", "bessel"])
     def test_gradient_wrt_distance(self, rng, kind):
         cfg = BasisConfig(kind=kind, n_basis=8)
-        p = init_kernel_params(rng, cfg, d_m=8, d_rbf=8, d_emb2=4)
+        p = init_kernel_params(rng, cfg, d_m=8, mode="atom_aware", d_rbf=8, d_emb2=4)
         r0 = 1.7
         r = ad.parameter(r0)
         off = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -271,7 +271,7 @@ class TestTwoBodyKernel:
 class TestKernelTensor:
     def test_symmetric_exactly(self, rng):
         cfg = BasisConfig(n_basis=8)
-        p = init_kernel_params(rng, cfg, d_m=8, d_rbf=8, d_emb2=4)
+        p = init_kernel_params(rng, cfg, d_m=8, mode="atom_aware", d_rbf=8, d_emb2=4)
         coords = rng.uniform(-2, 2, (5, 3))
         numbers = rng.choice([1, 6, 7, 8], 5)
         dist = pairwise_distances(ad.constant(coords))
@@ -280,7 +280,7 @@ class TestKernelTensor:
 
     def test_symmetric_exactly_at_twenty_atoms(self, rng):
         cfg = BasisConfig(n_basis=8)
-        p = init_kernel_params(rng, cfg, d_m=8, d_rbf=8, d_emb2=4)
+        p = init_kernel_params(rng, cfg, d_m=8, mode="atom_aware", d_rbf=8, d_emb2=4)
         coords = rng.uniform(-4, 4, (20, 3))
         numbers = rng.choice([1, 6, 7, 8], 20)
         lam = kernel_tensor(p, cfg, pairwise_distances(ad.constant(coords)), numbers).data
@@ -288,7 +288,7 @@ class TestKernelTensor:
 
     def test_diagonal_defined_and_finite(self, rng):
         cfg = BasisConfig(kind="bessel", n_basis=8)
-        p = init_kernel_params(rng, cfg, d_m=8, d_rbf=8, d_emb2=4)
+        p = init_kernel_params(rng, cfg, d_m=8, mode="atom_aware", d_rbf=8, d_emb2=4)
         coords = rng.uniform(-2, 2, (3, 3))
         dist = pairwise_distances(ad.constant(coords))
         lam = kernel_tensor(p, cfg, dist, np.array([1, 6, 8])).data
@@ -296,7 +296,7 @@ class TestKernelTensor:
 
     def test_matches_per_pair_kernel(self, rng):
         cfg = BasisConfig(n_basis=8)
-        p = init_kernel_params(rng, cfg, d_m=8, d_rbf=8, d_emb2=4)
+        p = init_kernel_params(rng, cfg, d_m=8, mode="atom_aware", d_rbf=8, d_emb2=4)
         coords = rng.uniform(-2, 2, (4, 3))
         numbers = np.array([1, 6, 7, 8])
         dist = pairwise_distances(ad.constant(coords))

@@ -315,13 +315,30 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             train(model, ds, TrainConfig())
 
-    def test_target_reached_stops_early(self):
+    @pytest.mark.parametrize("eval_every", [1, 100],
+                             ids=["periodic_eval", "final_eval"])
+    def test_nonfinite_validation_ends_diverged(self, monkeypatch, eval_every):
+        # lr 1e300: step 1 is finite, but the parameters it leaves make the
+        # validation pass after it (periodic or final) non-finite
         model = tiny_model()
-        cfg = TrainConfig(batch_size=4, max_steps=50, eval_every=1,
-                          patience=100, stop_below_val_mae=1e9)
-        res = train(model, tiny_dataset(), cfg)
-        assert res.stopped == "target_reached"
+        inner = training.Adam.step
+        after = {}
+
+        def step_and_record(opt, grads, lr):
+            inner(opt, grads, lr)
+            after.update({k: t.data.copy() for k, t in opt.params.items()})
+
+        monkeypatch.setattr(training.Adam, "step", step_and_record)
+        res = train(model, tiny_dataset(), TrainConfig(
+            lr=1e300, batch_size=4, max_steps=1, eval_every=eval_every,
+            patience=100))
+        assert res.stopped == "diverged"
         assert res.steps_run == 1
+        assert [m[:2] for m in res.metrics] == [(0, "val"), (1, "train")]
+        assert res.best_checkpoint is not None
+        assert after
+        for k, t in model.params().items():
+            np.testing.assert_array_equal(t.data, after[k])
 
     def test_energy_mae_empty(self):
         with pytest.raises(ConfigError):
