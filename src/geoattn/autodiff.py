@@ -28,6 +28,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 DEFAULT_DTYPE = np.float64
+_TINY = np.finfo(DEFAULT_DTYPE).tiny    # smallest normal float64
 
 # False inside no_graph(): _node then builds no graph
 _RECORDING = True
@@ -374,8 +375,11 @@ def neg(a) -> Tensor:
 def exp(a) -> Tensor:
     a = _coerce(a)
     with np.errstate(over="ignore"):
-        data = np.exp(a.data)
+        data = np.exp(a.data, out=np.empty_like(a.data))
     _check_finite(data, "exp")
+    # subnormal results slow every later op that reads them; flushed to 0,
+    # they move by less than 2.3e-308 and get an exactly zero gradient
+    data[data < _TINY] = 0.0
     return _with_output_vjp(_node(data, [a], [None]), lambda g, out: mul(g, out))
 
 
@@ -413,11 +417,12 @@ def cos(a) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = _coerce(a)
     # stable in both tails: 1 / (1 + e) for x >= 0 and e / (1 + e) below, with
-    # e = exp(-|x|); computed in place, since fresh temporaries cost page faults
+    # e = exp(-|x|); since 0 <= e <= 1 the numerator is max(e, x >= 0), which
+    # needs no masked store (slow on random signs)
     e = np.abs(a.data, out=np.empty_like(a.data))
     np.exp(np.negative(e, out=e), out=e)
     den = 1.0 + e
-    np.copyto(e, 1.0, where=a.data >= 0)
+    np.maximum(e, a.data >= 0, out=e)
     data = np.divide(e, den, out=e)
     return _with_output_vjp(_node(data, [a], [None]),
                             lambda g, out: mul(g, mul(out, sub(1.0, out))))

@@ -4,11 +4,14 @@ Subcommands: train, eval, forces, gradcheck, ablate-basis, attn-dump.
 All artifacts are files; numeric CSV output keeps 17 significant digits.
 Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
 The environment variable ``GEOATTN_OUT_DIR`` overrides the output directory.
+The process keeps freed memory for reuse (glibc only); see :func:`_keep_heap`.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import os
 import sys
 from pathlib import Path
@@ -24,6 +27,21 @@ from .geometry import Molecule, distance_matrix
 from .gradcheck import force_gradcheck
 from .model import GeoTModel, ModelConfig, load_checkpoint, save_checkpoint
 from .training import SyntheticSpec, TrainConfig, generate_synthetic, train
+
+
+@functools.lru_cache(maxsize=1)
+def _keep_heap() -> bool:
+    """Keep freed memory in the glibc heap, so that a force call does not
+    fault in again the pages the previous one freed.  Setting one threshold
+    alone turns off glibc's dynamic thresholds, so both are set.  Returns
+    whether they were; does nothing where ``mallopt`` is missing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return (mallopt(-1, 1 << 30) == 1             # M_TRIM_THRESHOLD
+            and mallopt(-3, 32 << 20) == 1)       # M_MMAP_THRESHOLD, at glibc's cap
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -238,6 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_heap()    # here only: library code leaves its host's allocator alone
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

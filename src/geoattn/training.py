@@ -41,7 +41,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("lr", "warmup_steps", "decay_factor", "decay_every",
-                     "batch_size", "max_epochs", "eval_every"):
+                     "batch_size", "max_epochs", "eval_every", "patience"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.max_steps < 0:
@@ -181,8 +181,25 @@ def morse_energy_forces(numbers: np.ndarray, coords: np.ndarray,
     return float(energy), forces
 
 
+def _place_atoms(rng: np.random.Generator, n: int, spec: SyntheticSpec) -> np.ndarray:
+    """Atoms placed one at a time, each redrawn until it keeps the minimum
+    distance from those already placed; dense molecules need this."""
+    coords = np.empty((n, 3))
+    for i in range(n):
+        for _ in range(1000):
+            c = rng.uniform(0.0, spec.box, 3)
+            if i == 0 or np.min(np.linalg.norm(coords[:i] - c, axis=1)) >= spec.min_distance:
+                coords[i] = c
+                break
+        else:
+            raise DataError("could not place atoms with the minimum distance; "
+                            "increase the box or reduce the atom count")
+    return coords
+
+
 def generate_synthetic(spec: SyntheticSpec, seed: int = 0) -> Dataset:
-    """Random small molecules with exactly consistent Morse labels."""
+    """Random small molecules with exactly consistent Morse labels.  Each
+    molecule is drawn whole up to 200 times, then atom by atom."""
     rng = np.random.default_rng(seed)
     mols = []
     for _ in range(spec.n_molecules):
@@ -196,8 +213,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0) -> Dataset:
                 coords = cand
                 break
         if coords is None:
-            raise DataError("could not place atoms with the minimum distance; "
-                            "increase the box or reduce the atom count")
+            coords = _place_atoms(rng, n, spec)
         energy, forces = morse_energy_forces(numbers, coords, spec.pair_params)
         mols.append(Molecule(numbers, coords, energy=energy, forces=forces))
     return Dataset(molecules=mols, target_name="morse_energy", units="arb")

@@ -74,6 +74,19 @@ class TestElementwise:
         with pytest.raises(ad.NonFiniteError):
             ad.exp(ad.constant(1e4))
 
+    def test_exp_flushes_subnormals_to_zero(self):
+        tiny = np.finfo(np.float64).tiny
+        x = np.linspace(-744.9, -708.5, 64)
+        assert np.all((np.exp(x) > 0) & (np.exp(x) < tiny))   # subnormal in numpy
+        p = ad.parameter(x)
+        out = ad.exp(p)
+        np.testing.assert_array_equal(out.data, 0.0)
+        (g,) = ad.grad(ad.tensor_sum(out), [p])
+        np.testing.assert_array_equal(g.data, 0.0)
+        # the smallest normal results are kept as they are
+        y = np.array([-708.3, -700.0])
+        np.testing.assert_array_equal(ad.exp(ad.constant(y)).data, np.exp(y))
+
     @pytest.mark.parametrize("op,npop", [
         (ad.exp, np.exp),
         (ad.square, np.square),
@@ -103,10 +116,15 @@ class TestActivations:
         assert ad.swish(ad.constant(0.0)).item() == 0.0
 
     def test_sigmoid_matches_three_exp_form(self, rng):
-        x = rng.normal(size=4096) * 10
-        old = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                       np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        np.testing.assert_array_equal(ad.sigmoid(ad.constant(x)).data, old)
+        # the special values, then a random-sign block the size of an
+        # 80-atom pair-kernel activation
+        special = np.array([np.inf, -np.inf, 0.0, -0.0, np.nan])
+        for x in (np.concatenate([special, rng.normal(size=4096) * 10]),
+                  rng.normal(size=(80 * 81 // 2, 64)) * 10):
+            with np.errstate(invalid="ignore"):
+                old = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                               np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+            np.testing.assert_array_equal(ad.sigmoid(ad.constant(x)).data, old)
 
     def test_swish_one(self):
         assert ad.swish(ad.constant(1.0)).item() == pytest.approx(
@@ -313,6 +331,11 @@ class TestBackward:
         np.testing.assert_array_equal(g1, g2)
 
 
+def pair_sum_twice(x, pairs):
+    v = ad.take_rows(x, pairs.i)
+    return ad.add(ad.add_pair_sum(v, x, pairs), v)
+
+
 class TestGradContract:
     @staticmethod
     def build(x, w):
@@ -359,6 +382,42 @@ class TestGradContract:
         prod.vjps = (prod.vjps[0], refuse)
         (g,) = ad.grad(ad.tensor_sum(prod), [x])
         np.testing.assert_array_equal(g.data, a.data)
+
+    # graphs where one incoming gradient reaches two parents, or a parent
+    # through a view (reshape, transpose) or a pass-through (add_pair_sum's
+    # first operand, added once more here)
+    ALIASING = {
+        "add_self": lambda x: ad.add(x, x),
+        "add_reshape": lambda x: ad.add(x, ad.reshape(ad.reshape(x, (2, 8)), (4, 4))),
+        "mul_transpose": lambda x: ad.mul(x, ad.transpose(x, (1, 0))),
+        "add_pair_sum": lambda x: pair_sum_twice(x, ad.pair_index(4)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ALIASING))
+    def test_aliased_gradients_are_not_shared_or_mutated(self, rng, case):
+        f = self.ALIASING[case]
+
+        def loss(x):
+            # u and the gradient of the sum each reach two consumers, so an
+            # in-place accumulation into a shared gradient shows
+            u = ad.sin(x)
+            return ad.tensor_sum(ad.square(ad.add(f(u), f(ad.exp(u)))))
+
+        x = ad.parameter(rng.uniform(-2, 2, (4, 4)))
+        out = loss(x)
+        (tracked,) = ad.grad(out, [x], create_graph=True)
+        (plain,) = ad.grad(out, [x], create_graph=False)
+        np.testing.assert_array_equal(plain.data, tracked.data)
+        (numeric,) = numeric_grad(lambda a: loss(ad.constant(a)).item(), [x.data])
+        assert rel_err(plain.data, numeric) < 1e-7
+
+        forward = [node.data.copy() for node in ad._topo_order(out)]
+        first = plain.data.copy()
+        (again,) = ad.grad(out, [x], create_graph=False)
+        for node, data in zip(ad._topo_order(out), forward):
+            np.testing.assert_array_equal(node.data, data)
+        np.testing.assert_array_equal(plain.data, first)
+        np.testing.assert_array_equal(again.data, first)
 
 
 class TestPairOps:

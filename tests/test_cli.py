@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,7 +177,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("key, value", [
         ("lr", "nan"), ("lr", "inf"), ("force_weight", "-inf"),
         ("n_heads", "0"), ("d_m", "0"), ("n_layers", "0"), ("d_h", "0"),
-        ("d_rbf", "0"), ("d_emb2", "0"), ("max_steps", "-1")])
+        ("d_rbf", "0"), ("d_emb2", "0"), ("max_steps", "-1"), ("patience", "0")])
     def test_bad_value_is_config_error(self, tiny_run, key, value):
         cfg, tmp_path = tiny_run
         assert main(["train", str(cfg), f"--{key}={value}"]) == 2
@@ -345,3 +349,36 @@ class TestAttnDumpCommand:
             _, i, j, dist, norm = row.split(",")
             assert float(dist) == pytest.approx(d[int(i), int(j)], abs=1e-12)
             assert float(norm) >= 0.0
+
+
+KEEP_HEAP_SCRIPT = """
+import resource
+import numpy as np
+from geoattn import cli
+from geoattn.geometry import Molecule
+from geoattn.model import GeoTModel, ModelConfig
+if not cli._keep_heap():
+    raise SystemExit(3)
+rng = np.random.default_rng(0)
+mol = Molecule(rng.choice((1, 6, 7, 8), size=64), rng.uniform(0.0, 9.0, (64, 3)))
+model = GeoTModel.init(ModelConfig(), seed=1)
+model.energy_and_forces(mol)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+model.energy_and_forces(mol)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestKeepHeap:
+    def test_second_force_call_reuses_the_heap(self):
+        # minor page faults, not time: a call that frees its temporaries back
+        # to the OS faults them in again on the next call (about 16 000 here)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", KEEP_HEAP_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=300)
+        if run.returncode == 3:
+            pytest.skip("mallopt is not available")
+        assert run.returncode == 0, run.stderr
+        assert int(run.stdout) < 1000

@@ -141,6 +141,19 @@ class TestGaussianBasis:
             g = gaussian_basis(ad.constant(r), self.cfg).data
             assert np.all(g > 0) and np.all(g <= 1)
 
+    def test_long_pairs_have_no_subnormal_entry(self):
+        # pairs up to 16 A, as in an 80-atom molecule; with the default 64
+        # centres exp underflows to subnormals between about 8.5 and 15 A
+        cfg = BasisConfig()
+        r = np.linspace(8.0, 16.0, 161)
+        centers = cfg.delta * np.arange(1, cfg.n_basis + 1)
+        raw = np.exp(-cfg.gamma * (r[:, None] - centers) ** 2)
+        tiny = np.finfo(np.float64).tiny
+        assert np.any((raw > 0) & (raw < tiny))
+        g = gaussian_basis(ad.constant(r), cfg).data
+        assert not np.any((g > 0) & (g < tiny))
+        np.testing.assert_array_equal(g, np.where(raw < tiny, 0.0, raw))
+
 
 class TestLinearBasis:
     def test_identity_and_constant(self):

@@ -236,6 +236,20 @@ class TestSynthetic:
         for ma, mb in zip(a.molecules, b.molecules):
             np.testing.assert_array_equal(ma.coords, mb.coords)
 
+    def test_dense_molecules_placed_atom_by_atom(self):
+        # with seed 0 all 200 whole-molecule draws of the first molecule (70
+        # atoms) fail, so it is placed atom by atom; the others are drawn whole
+        spec = SyntheticSpec(n_molecules=3, min_atoms=56, max_atoms=72, box=9.0)
+        ds = generate_synthetic(spec, seed=0)
+        for m in ds.molecules:
+            assert 56 <= m.n_atoms <= 72
+            assert np.all((m.coords >= 0) & (m.coords <= spec.box))
+            d = np.linalg.norm(m.coords[:, None] - m.coords[None], axis=-1)
+            assert d[~np.eye(m.n_atoms, dtype=bool)].min() >= spec.min_distance
+            e, f = morse_energy_forces(m.atomic_numbers, m.coords, spec.pair_params)
+            assert m.energy == e
+            np.testing.assert_array_equal(m.forces, f)
+
     def test_impossible_packing_rejected(self):
         spec = SyntheticSpec(n_molecules=1, min_atoms=8, max_atoms=8,
                              box=1.0, min_distance=2.0)
