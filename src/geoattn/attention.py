@@ -65,9 +65,9 @@ def qkv_project(x: ad.Tensor, params: AttentionParams, cfg: "ModelConfig"):
     if x.shape[1] != cfg.d_m:
         raise ConfigError(f"input width {x.shape[1]} != d_m {cfg.d_m}")
     shape = (n, cfg.n_heads, cfg.head_dim)
-    q = ad.reshape(ad.matmul(x, params.wq), shape)
-    k = ad.reshape(ad.matmul(x, params.wk), shape)
-    v = ad.reshape(ad.matmul(x, params.wv), shape)
+    q = ad.reshape(ad.einsum("nd,de->ne", x, params.wq), shape)
+    k = ad.reshape(ad.einsum("nd,de->ne", x, params.wk), shape)
+    v = ad.reshape(ad.einsum("nd,de->ne", x, params.wv), shape)
     return q, k, v
 
 

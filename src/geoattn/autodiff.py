@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 import weakref
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -103,9 +104,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _as_array(x) -> np.ndarray:
     if isinstance(x, np.ndarray) and x.dtype == DEFAULT_DTYPE:
@@ -171,13 +169,6 @@ def reshape(a, shape) -> Tensor:
     shape = tuple(shape)
     old = a.shape
     return _node(a.data.reshape(shape), [a], [lambda g: reshape(g, old)])
-
-
-def transpose(a, axes) -> Tensor:
-    a = _coerce(a)
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    return _node(a.data.transpose(axes), [a], [lambda g: transpose(g, inv)])
 
 
 def broadcast_to(a, shape) -> Tensor:
@@ -443,72 +434,81 @@ def _expm1_neg(a) -> Tensor:
                             lambda g, out: mul(g, mul(add(out, 1.0), mask)))
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError("matmul expects tensors with ndim >= 2")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner extents differ, {a.shape} @ {b.shape}")
-    if a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul: batch dims differ, {a.shape} @ {b.shape}")
-
-    def swap(t):
-        axes = list(range(t.ndim))
-        axes[-1], axes[-2] = axes[-2], axes[-1]
-        return transpose(t, axes)
-
-    return _node(a.data @ b.data, [a, b],
-                 [lambda g: matmul(g, swap(b)), lambda g: matmul(swap(a), g)])
-
-
-@functools.lru_cache(maxsize=None)
-def _einsum_terms(spec: str) -> tuple[tuple[str, ...], str]:
-    """Split ``"ab,bc->ac"`` into input terms and output term, and check
-    that every operand's vjp is again an einsum of the other terms."""
+@functools.lru_cache(maxsize=4096)    # a few dozen entries per molecule size
+def _einsum_plan(spec: str, shapes: tuple):
+    """Check ``spec`` against the operand shapes and compile it, once per
+    (spec, shapes): the spec of each operand's vjp, and the function that
+    contracts the arrays.  Two operands run as one ``np.matmul``, others as
+    one fused ``np.einsum`` loop, so that no pairwise intermediate (such as
+    the N x N x h x c product of the attention gate) is stored."""
     lhs, arrow, out = spec.partition("->")
     if not arrow:
         raise ShapeError(f"einsum {spec!r}: the output needs an explicit '->'")
     terms = tuple(lhs.split(","))
+    if len(terms) != len(shapes):
+        raise ShapeError(f"einsum {spec!r}: {len(terms)} terms for {len(shapes)} operands")
+    # the vjp of each operand is then an einsum of the gradient and the others
     for term in terms + (out,):
         if len(set(term)) != len(term):
             raise ShapeError(f"einsum {spec!r}: repeated index in {term!r}")
     for idx in set(lhs.replace(",", "") + out):
         if sum(idx in term for term in terms + (out,)) < 2:
             raise ShapeError(f"einsum {spec!r}: index {idx!r} appears in one term only")
-    return terms, out
+    # equal extents per index: numpy would broadcast a 1 against n, and the
+    # vjp would then return the wrong shape
+    extents: dict[str, int] = {}
+    for term, shape in zip(terms, shapes):
+        if len(term) != len(shape):
+            raise ShapeError(f"einsum {spec!r}: {term!r} given a {len(shape)}-d operand")
+        for idx, n in zip(term, shape):
+            if extents.setdefault(idx, n) != n:
+                raise ShapeError(f"einsum {spec!r}: index {idx!r} has extents "
+                                 f"{extents[idx]} and {n}")
+    vjp_specs = tuple(",".join((out,) + terms[:k] + terms[k + 1:]) + "->" + terms[k]
+                      for k in range(len(terms)))
+    if len(terms) != 2:
+        return vjp_specs, functools.partial(np.einsum, spec)
+    # the operand whose free index leads the output goes left: "nd,de->ne"
+    # and its vjps are then x @ w, g @ w.T and x.T @ g, in their layout
+    free = [i for i in out if (i in terms[0]) != (i in terms[1])]
+    swap = bool(free) and free[0] in terms[1]
+    left, right = terms[::-1] if swap else terms
+    batch = [i for i in out if i not in free]
+    free_l = [i for i in free if i in left]
+    free_r = [i for i in free if i in right]
+    summed = [i for i in left if i not in out]
+    product = batch + free_l + free_r
+    unfolded, axes_out = [extents[i] for i in product], [product.index(i) for i in out]
+
+    def fold(term, *groups):    # the axis order, and one axis per group
+        return ([term.index(i) for group in groups for i in group],
+                [math.prod(extents[i] for i in group) for group in groups])
+
+    (axes_l, fold_l), (axes_r, fold_r) = (fold(left, batch, free_l, summed),
+                                          fold(right, batch, summed, free_r))
+
+    def contract(a, b):
+        a, b = (b, a) if swap else (a, b)
+        c = np.matmul(a.transpose(axes_l).reshape(fold_l),
+                      b.transpose(axes_r).reshape(fold_r))
+        return c.reshape(unfolded).transpose(axes_out)
+
+    return vjp_specs, contract
 
 
 def einsum(spec: str, *operands) -> Tensor:
     """Differentiable ``np.einsum`` with an explicit output, e.g.
-    ``einsum("ihc,jhc->ijh", q, k)``.  The vjp of each operand is the einsum
-    of the incoming gradient with the other operands, so it differentiates
-    again like any other op."""
+    ``einsum("ihc,jhc->ijh", q, k)``; the engine's only contraction.  The
+    vjp of each operand is the einsum of the incoming gradient with the
+    other operands, so it differentiates again like any other op."""
     operands = [_coerce(t) for t in operands]
-    terms, out = _einsum_terms(spec)
-    if len(terms) != len(operands):
-        raise ShapeError(f"einsum {spec!r}: {len(terms)} terms for {len(operands)} operands")
-    # equal extents per index: numpy would broadcast a 1 against n, and the
-    # vjp would then return the wrong shape
-    extents: dict[str, int] = {}
-    for term, t in zip(terms, operands):
-        if len(term) != t.ndim:
-            raise ShapeError(f"einsum {spec!r}: {term!r} given a {t.ndim}-d operand")
-        for idx, n in zip(term, t.shape):
-            if extents.setdefault(idx, n) != n:
-                raise ShapeError(f"einsum {spec!r}: index {idx!r} has extents "
-                                 f"{extents[idx]} and {n}")
+    vjp_specs, contract = _einsum_plan(spec, tuple(t.shape for t in operands))
 
     def vjp(k):
-        def back(g):
-            spec_k = ",".join((out,) + terms[:k] + terms[k + 1:]) + "->" + terms[k]
-            return einsum(spec_k, g, *operands[:k], *operands[k + 1:])
-        return back
+        return lambda g: einsum(vjp_specs[k], g, *operands[:k], *operands[k + 1:])
 
-    # numpy runs an optimized two-operand contraction as a batched matmul;
-    # more operands run as one fused loop, so that no pairwise intermediate
-    # (such as the N x N x h x c product of the attention gate) is stored
-    data = np.einsum(spec, *(t.data for t in operands), optimize=len(operands) == 2)
-    return _node(data, operands, [vjp(k) for k in range(len(operands))])
+    return _node(contract(*(t.data for t in operands)), operands,
+                 [vjp(k) for k in range(len(operands))])
 
 
 # ---------------------------------------------------------------------------

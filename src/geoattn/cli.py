@@ -152,6 +152,8 @@ def cmd_forces(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.trials < 0:
+        raise UsageError(f"--trials must be >= 0, got {args.trials}")
     cfg = None
     if args.config:
         cfg = _run_config(args).build(ModelConfig)

@@ -75,15 +75,6 @@ def _parse_frame(lines: list[str], start: int) -> tuple[Molecule, int]:
     return mol, start + 2 + n
 
 
-def parse_xyz(text: str) -> Molecule:
-    """Parse a single-frame XYZ / extended-XYZ string."""
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty input", 1)
-    mol, _ = _parse_frame(lines, 0)
-    return mol
-
-
 def parse_xyz_frames(text: str) -> list[Molecule]:
     """Parse a concatenated multi-frame XYZ string."""
     lines = text.splitlines()

@@ -44,10 +44,14 @@ class Molecule:
             d = distance_matrix(self.coords)
             if np.min(d[~np.eye(n, dtype=bool)]) <= 0.0:
                 raise DataError("two atoms coincide exactly")
+        if self.energy is not None and not np.isfinite(self.energy):
+            raise DataError(f"energy label must be finite, got {self.energy}")
         if self.forces is not None:
             self.forces = np.asarray(self.forces, dtype=np.float64)
             if self.forces.shape != (n, 3):
                 raise DataError("forces must have shape (N, 3)")
+            if not np.all(np.isfinite(self.forces)):
+                raise DataError("force labels must be finite")
 
     @property
     def n_atoms(self) -> int:
@@ -217,7 +221,7 @@ def kernel_tensor(params: KernelParams, cfg: BasisConfig,
     geo = dist if isinstance(dist, PairGeometry) else pair_geometry(dist, cfg)
     g = geo.basis if geo.basis is not None else expand_basis(geo.r, cfg, params)
     if params.embed is None:
-        pre = ad.add(ad.matmul(g, params.w1), params.b1)
+        pre = ad.add(ad.einsum("nd,de->ne", g, params.w1), params.b1)
     else:
         if atomic_numbers is None:
             raise ConfigError("atom-aware kernel needs atomic numbers")
@@ -227,8 +231,8 @@ def kernel_tensor(params: KernelParams, cfg: BasisConfig,
         nb = cfg.n_basis
         w_r = ad.slice_axis(params.w1, 0, 0, nb)
         w_z = ad.slice_axis(params.w1, 0, nb, params.w1.shape[0])
-        per_atom = ad.add(ad.matmul(ad.take_rows(params.embed, z), w_z),
+        per_atom = ad.add(ad.einsum("nd,de->ne", ad.take_rows(params.embed, z), w_z),
                           ad.mul(params.b1, 0.5))                    # N x d_rbf
-        pre = ad.add_pair_sum(ad.matmul(g, w_r), per_atom, geo.pairs)
+        pre = ad.add_pair_sum(ad.einsum("nd,de->ne", g, w_r), per_atom, geo.pairs)
     h = ad.swish(pre)
-    return ad.expand_pairs(ad.add(ad.matmul(h, params.w2), params.b2), geo.pairs)
+    return ad.expand_pairs(ad.add(ad.einsum("nd,de->ne", h, params.w2), params.b2), geo.pairs)

@@ -100,8 +100,8 @@ class LayerParams:
 
 
 def ffn(x: ad.Tensor, layer: LayerParams) -> ad.Tensor:
-    h = ad.elu(ad.add(ad.matmul(x, layer.ffn_w1), layer.ffn_b1))
-    return ad.add(ad.matmul(h, layer.ffn_w2), layer.ffn_b2)
+    h = ad.elu(ad.add(ad.einsum("nd,de->ne", x, layer.ffn_w1), layer.ffn_b1))
+    return ad.add(ad.einsum("nd,de->ne", h, layer.ffn_w2), layer.ffn_b2)
 
 
 class GeoTModel:
@@ -171,7 +171,7 @@ class GeoTModel:
 
     def readout(self, x: ad.Tensor) -> ad.Tensor:
         pooled = ad.tensor_sum(x, axis=0, keepdims=True)      # 1 x d_m
-        return ad.add(ad.reshape(ad.matmul(pooled, self.w_pool), ()), self.b_out)
+        return ad.add(ad.reshape(ad.einsum("nd,de->ne", pooled, self.w_pool), ()), self.b_out)
 
     def forward_parts(self, molecule: Molecule,
                       trace: "list[AttentionRecord] | None" = None):
@@ -231,10 +231,24 @@ def save_checkpoint(model: GeoTModel, path) -> None:
              **arrays)
 
 
+def _check_fields(cls, values, what: str) -> None:
+    """A checkpoint's config holds exactly the fields of ``cls``: a missing
+    one would silently take its default."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"checkpoint {what} is not a JSON object")
+    names = {f.name for f in dataclasses.fields(cls)}
+    extra, missing = sorted(set(values) - names), sorted(names - set(values))
+    if extra or missing:
+        raise ConfigError(f"checkpoint {what} has unknown fields {extra} "
+                          f"and lacks fields {missing}")
+
+
 def load_checkpoint(path) -> GeoTModel:
     with np.load(path) as blob:
-        cfg_json = bytes(blob["__config__"]).decode()
-        config = ModelConfig(**json.loads(cfg_json))
+        fields = json.loads(bytes(blob["__config__"]).decode())
+        _check_fields(ModelConfig, fields, "config")
+        _check_fields(BasisConfig, fields["basis"], "basis config")
+        config = ModelConfig(**fields)
         model = GeoTModel.init(config, seed=0)
         params = model.params()
         names = [key[len("param:"):] for key in blob.files if key.startswith("param:")]

@@ -183,6 +183,27 @@ class TestExitCodes:
         assert main(["train", str(cfg), f"--{key}={value}"]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("frame", [
+        "energy=nan\nH 0 0 0\nH 1 0 0", "energy=0\nH 0 0 0 inf 0 0\nH 1 0 0 0 0 0"],
+        ids=["energy", "forces"])
+    def test_nonfinite_label_is_data_error(self, tiny_run, frame):
+        cfg, tmp_path = tiny_run
+        good = "2\nenergy=1\nH 0 0 0 0 0 1\nH 1 0 0 0 0 -1\n"
+        xyz = tmp_path / "data.xyz"
+        xyz.write_text(good * 5 + f"2\n{frame}\n" + good * 4)
+        assert main(["train", str(cfg), f"--data_path={xyz}"]) == 2
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
+    def test_checkpoint_with_unknown_config_field(self, tmp_path):
+        blob = tmp_path / "m.npz"
+        model = GeoTModel.init(ModelConfig(**json.loads(CHECKPOINT_CONFIG)), seed=0)
+        arrays = {f"param:{k}": t.data for k, t in model.params().items()}
+        cfg = CHECKPOINT_CONFIG.replace('"n_layers"', '"banana": 1, "n_layers"')
+        np.savez(blob, __config__=np.frombuffer(cfg.encode(), dtype=np.uint8), **arrays)
+        xyz = tmp_path / "m.xyz"
+        xyz.write_text("1\nenergy=0\nH 0 0 0\n")
+        assert main(["eval", str(blob), str(xyz)]) == 2
+
     def test_missing_checkpoint(self, tmp_path):
         xyz = tmp_path / "m.xyz"
         xyz.write_text("1\nenergy=0\nH 0 0 0\n")
@@ -306,6 +327,11 @@ class TestGradcheckCommand:
     def test_zero_trials_warns_and_passes(self, capsys):
         assert main(["gradcheck", "--trials", "0"]) == 0
         assert "warning" in capsys.readouterr().out.lower()
+
+    def test_negative_trials_is_usage_error(self, capsys):
+        assert main(["gradcheck", "--trials", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out and "--trials" in captured.err
 
     def test_meta_corrupted_forces_fail(self, monkeypatch):
         # the checker itself must notice deliberately wrong forces

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geoattn.data import (Dataset, load_dataset, parse_xyz, parse_xyz_frames,
+from geoattn.data import (Dataset, load_dataset, parse_xyz_frames,
                           split_dataset, write_xyz, write_xyz_frames)
 from geoattn.errors import ConfigError, ParseError
 from geoattn.geometry import Molecule
@@ -17,19 +17,19 @@ def random_labeled_molecule(rng, n=None):
 
 class TestParse:
     def test_minimal(self):
-        mol = parse_xyz("1\ncomment\nH 0 0 0\n")
+        (mol,) = parse_xyz_frames("1\ncomment\nH 0 0 0\n")
         assert mol.n_atoms == 1
         assert mol.atomic_numbers[0] == 1
         assert mol.energy is None
         assert mol.forces is None
 
     def test_energy_comment(self):
-        mol = parse_xyz("1\nenergy=-7.25 extra stuff\nO 1 2 3\n")
+        (mol,) = parse_xyz_frames("1\nenergy=-7.25 extra stuff\nO 1 2 3\n")
         assert mol.energy == -7.25
         np.testing.assert_array_equal(mol.coords, [[1, 2, 3]])
 
     def test_forces_columns(self):
-        mol = parse_xyz("2\nenergy=0\nH 0 0 0 1 2 3\nH 1 0 0 -1 -2 -3\n")
+        (mol,) = parse_xyz_frames("2\nenergy=0\nH 0 0 0 1 2 3\nH 1 0 0 -1 -2 -3\n")
         np.testing.assert_array_equal(mol.forces, [[1, 2, 3], [-1, -2, -3]])
 
     def test_multi_frame(self):
@@ -41,31 +41,31 @@ class TestParse:
 class TestParseErrors:
     def test_bad_count_line(self):
         with pytest.raises(ParseError) as e:
-            parse_xyz("pear\n\nH 0 0 0\n")
+            parse_xyz_frames("pear\n\nH 0 0 0\n")
         assert e.value.line == 1
 
     def test_truncated_file(self):
         with pytest.raises(ParseError):
-            parse_xyz("3\n\nH 0 0 0\n")
+            parse_xyz_frames("3\n\nH 0 0 0\n")
 
     def test_bad_symbol_reports_line(self):
         with pytest.raises(ParseError) as e:
-            parse_xyz("2\n\nH 0 0 0\nQq 1 0 0\n")
+            parse_xyz_frames("2\n\nH 0 0 0\nQq 1 0 0\n")
         assert e.value.line == 4
 
     def test_bad_column_count(self):
         with pytest.raises(ParseError) as e:
-            parse_xyz("1\n\nH 0 0\n")
+            parse_xyz_frames("1\n\nH 0 0\n")
         assert e.value.line == 3
 
     def test_non_numeric_coordinate(self):
         with pytest.raises(ParseError) as e:
-            parse_xyz("1\n\nH 0 zero 0\n")
+            parse_xyz_frames("1\n\nH 0 zero 0\n")
         assert e.value.line == 3
 
     def test_empty_input(self):
         with pytest.raises(ParseError):
-            parse_xyz("")
+            parse_xyz_frames("")
         with pytest.raises(ParseError):
             parse_xyz_frames("\n\n")
 
@@ -73,7 +73,7 @@ class TestParseErrors:
 class TestRoundTrip:
     def test_single_bit_exact(self, rng):
         mol = random_labeled_molecule(rng)
-        back = parse_xyz(write_xyz(mol))
+        (back,) = parse_xyz_frames(write_xyz(mol))
         np.testing.assert_array_equal(back.atomic_numbers, mol.atomic_numbers)
         np.testing.assert_array_equal(back.coords, mol.coords)
         np.testing.assert_array_equal(back.forces, mol.forces)
@@ -89,7 +89,7 @@ class TestRoundTrip:
 
     def test_unlabeled_round_trip(self, rng):
         mol = Molecule([6, 8], [[0, 0, 0], [1.1, 0, 0]])
-        back = parse_xyz(write_xyz(mol))
+        (back,) = parse_xyz_frames(write_xyz(mol))
         assert back.energy is None and back.forces is None
 
 

@@ -74,6 +74,14 @@ class TestMolecule:
         with pytest.raises(DataError):
             Molecule([1], [[np.inf, 0, 0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_labels(self, bad):
+        with pytest.raises(DataError, match="energy"):
+            Molecule([1], [[0, 0, 0]], energy=bad)
+        with pytest.raises(DataError, match="force"):
+            Molecule([1, 1], [[0, 0, 0], [1, 0, 0]], energy=0.0,
+                     forces=[[0, 0, 0], [0, bad, 0]])
+
 
 class TestPairwiseDistances:
     def test_three_four_five(self):

@@ -1,5 +1,7 @@
 import gc
 import io
+import json
+import re
 import weakref
 
 import numpy as np
@@ -269,6 +271,26 @@ class TestCheckpoints:
         arrays["param:w_pool"] = np.zeros((3, 3))
         np.savez(path, **arrays)
         with pytest.raises(ConfigError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda c: (c.pop("out_shift"), c.pop("out_scale")), "'out_scale', 'out_shift'"),
+        (lambda c: c.update(banana=1), "'banana'"),
+        (lambda c: c["basis"].pop("gamma"), "'gamma'"),
+        (lambda c: c["basis"].update(width=2.0), "'width'"),
+    ], ids=["missing", "unknown", "basis_missing", "basis_unknown"])
+    def test_config_fields_must_match_exactly(self, tmp_path, edit, named):
+        model = GeoTModel.init(small_config(), seed=0)
+        model.config.out_shift, model.config.out_scale = 1.5, 2.0
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, path)
+        with np.load(path) as blob:
+            arrays = {k: blob[k] for k in blob.files}
+        cfg = json.loads(bytes(arrays["__config__"]).decode())
+        edit(cfg)
+        arrays["__config__"] = np.frombuffer(json.dumps(cfg).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(ConfigError, match=re.escape(named)):
             load_checkpoint(path)
 
     def test_missing_parameter_rejected(self, tmp_path):
