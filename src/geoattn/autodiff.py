@@ -78,32 +78,6 @@ class Tensor:
         tag = "param" if (self.requires_grad and not self.parents) else "node"
         return f"Tensor({tag}, shape={self.shape})"
 
-    # arithmetic sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
 
 def _as_array(x) -> np.ndarray:
     if isinstance(x, np.ndarray) and x.dtype == DEFAULT_DTYPE:
@@ -217,7 +191,7 @@ def mean(a, axis=None, keepdims=False) -> Tensor:
     else:
         axes = (axis,) if isinstance(axis, int) else tuple(axis)
         n = int(np.prod([a.shape[i] for i in axes]))
-    return tensor_sum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
+    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
@@ -316,41 +290,38 @@ def add_pair_sum(x, p, pairs: PairIndex) -> Tensor:
 # ---------------------------------------------------------------------------
 # arithmetic
 
-def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
+def _broadcast(op: str, fn, a: Tensor, b: Tensor) -> np.ndarray:
+    """``fn(a, b)`` on the data; numpy's own broadcast checks the shapes."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return fn(a.data, b.data)
     except ValueError as exc:
         raise ShapeError(f"{op}: cannot broadcast {a.shape} with {b.shape}") from exc
 
 
 def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    _binary_shapes(a, b, "add")
     sa, sb = a.shape, b.shape
-    return _node(a.data + b.data, [a, b],
+    return _node(_broadcast("add", np.add, a, b), [a, b],
                  [lambda g: _sum_to(g, sa), lambda g: _sum_to(g, sb)])
 
 
 def sub(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    _binary_shapes(a, b, "sub")
     sa, sb = a.shape, b.shape
-    return _node(a.data - b.data, [a, b],
+    return _node(_broadcast("sub", np.subtract, a, b), [a, b],
                  [lambda g: _sum_to(g, sa), lambda g: _sum_to(neg(g), sb)])
 
 
 def mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    _binary_shapes(a, b, "mul")
     sa, sb = a.shape, b.shape
-    return _node(a.data * b.data, [a, b],
+    return _node(_broadcast("mul", np.multiply, a, b), [a, b],
                  [lambda g: _sum_to(mul(g, b), sa), lambda g: _sum_to(mul(g, a), sb)])
 
 
 def div(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    _binary_shapes(a, b, "div")
-    data = a.data / b.data
+    data = _broadcast("div", np.divide, a, b)
     _check_finite(data, "div")
     sa, sb = a.shape, b.shape
     return _node(data, [a, b],
@@ -419,19 +390,13 @@ def sigmoid(a) -> Tensor:
                             lambda g, out: mul(g, mul(out, sub(1.0, out))))
 
 
-def relu(a) -> Tensor:
+def elu(a) -> Tensor:
+    """ELU with alpha = 1: x above 0, expm1(x) below, overflow-free."""
     a = _coerce(a)
-    mask = (a.data >= 0).astype(a.data.dtype)
-    return _node(a.data * mask, [a], [lambda g: mul(g, mask)])
-
-
-def _expm1_neg(a) -> Tensor:
-    """expm1(min(x, 0)); the negative branch of ELU, overflow-free."""
-    a = _coerce(a)
-    clipped = np.minimum(a.data, 0.0)
-    mask = (a.data < 0).astype(a.data.dtype)
-    return _with_output_vjp(_node(np.expm1(clipped), [a], [None]),
-                            lambda g, out: mul(g, mul(add(out, 1.0), mask)))
+    data = np.maximum(a.data, 0.0) + np.expm1(np.minimum(a.data, 0.0))
+    below = (a.data < 0).astype(DEFAULT_DTYPE)
+    return _with_output_vjp(_node(data, [a], [None]),
+                            lambda g, out: mul(g, add(mul(out, below), 1.0)))
 
 
 @functools.lru_cache(maxsize=4096)    # a few dozen entries per molecule size
@@ -513,11 +478,6 @@ def einsum(spec: str, *operands) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # composite layers
-
-def elu(a) -> Tensor:
-    """ELU with alpha = 1."""
-    return add(relu(a), _expm1_neg(a))
-
 
 def swish(a) -> Tensor:
     a = _coerce(a)

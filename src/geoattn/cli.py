@@ -88,8 +88,8 @@ def _out_dir(cfg: RunConfig) -> Path:
 def cmd_train(args) -> int:
     cfg = _run_config(args)
     model_cfg, train_cfg = cfg.build(ModelConfig), cfg.build(TrainConfig)
-    out = _out_dir(cfg)
     dataset = _build_dataset(cfg)
+    out = _out_dir(cfg)
     model = GeoTModel.init(model_cfg, seed=cfg["seed"])
     result = train(model, dataset, train_cfg)
     (out / "metrics.csv").write_text(result.metrics_csv())
@@ -171,8 +171,8 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_ablate_basis(args) -> int:
     cfg = _run_config(args)
-    out = _out_dir(cfg)
     dataset = _build_dataset(cfg)
+    out = _out_dir(cfg)
     rows = []
     for kind in ("gaussian", "linear", "bessel"):
         run = cfg.override({"basis_kind": kind})

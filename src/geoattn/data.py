@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, DataError, ParseError
 from .geometry import Molecule
 
 ELEMENTS = [
@@ -70,8 +70,11 @@ def _parse_frame(lines: list[str], start: int) -> tuple[Molecule, int]:
             forces.append(values[3:])
     if forces and len(forces) != n:
         raise ParseError("some atoms have forces and some do not", lineno)
-    mol = Molecule(np.array(numbers), np.array(coords), energy=energy,
-                   forces=np.array(forces) if forces else None)
+    try:
+        mol = Molecule(np.array(numbers), np.array(coords), energy=energy,
+                       forces=np.array(forces) if forces else None)
+    except DataError as exc:     # a bad label or geometry: name the frame's first line
+        raise ParseError(str(exc), start + 1) from exc
     return mol, start + 2 + n
 
 

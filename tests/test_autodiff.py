@@ -70,9 +70,10 @@ class TestElementwise:
         assert rel_err(ga, na) < 1e-6
         assert rel_err(gb, nb) < 1e-6
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ad.ShapeError):
-            ad.add(ad.constant(np.ones(3)), ad.constant(np.ones(4)))
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    def test_shape_mismatch(self, op):
+        with pytest.raises(ad.ShapeError, match=rf"^{op}: cannot broadcast \(3,\) with \(4,\)$"):
+            getattr(ad, op)(ad.constant(np.ones(3)), ad.constant(np.ones(4)))
 
     def test_exp_overflow_is_checked(self):
         with pytest.raises(ad.NonFiniteError):
@@ -115,6 +116,45 @@ class TestActivations:
     def test_elu_negative_branch(self):
         x = ad.constant(-1.0)
         assert ad.elu(x).item() == pytest.approx(np.expm1(-1.0))
+
+    def test_elu_matches_relu_plus_expm1_form(self, rng):
+        # bit for bit, value and first gradient, against the old composite
+        # relu(x) + expm1(min(x, 0)) and its summed vjps
+        special = np.array([0.0, -0.0, 1e4, -1e4, np.nan, 1.5, -1.5])
+        for x in (special, rng.normal(size=(3240, 128)) * 3):
+            g = rng.normal(size=x.shape)
+            with np.errstate(invalid="ignore"):
+                neg = np.expm1(np.minimum(x, 0.0))
+                value = x * (x >= 0) + neg
+                grad = g * (x >= 0) + g * ((neg + 1.0) * (x < 0))
+            leaf = ad.Tensor(x, requires_grad=True)     # parameter() refuses NaN
+            out = ad.elu(leaf)
+            (got,) = ad.grad(ad.tensor_sum(ad.mul(out, g)), [leaf])
+            np.testing.assert_array_equal(out.data.view(np.uint64), value.view(np.uint64))
+            np.testing.assert_array_equal(got.data.view(np.uint64), grad.view(np.uint64))
+
+    def test_elu_large_inputs_do_not_overflow(self):
+        x = np.array([1e4, 1e300, -1e4, -np.inf])
+        with np.errstate(all="raise"):
+            out = ad.elu(ad.constant(x))
+        np.testing.assert_array_equal(out.data, [1e4, 1e300, -1.0, -1.0])
+
+    def test_elu_second_derivative_vs_finite_differences(self, rng):
+        # away from the kink at 0: d/dx of sum(v * elu'(x)), elu' = exp(min(x, 0))
+        # above and below
+        x = rng.uniform(0.2, 2.0, 9) * rng.choice([-1.0, 1.0], 9)
+        v = rng.uniform(-2, 2, 9)
+
+        def build(xs, vs):
+            (g,) = ad.grad(ad.tensor_sum(ad.mul(ad.elu(xs), vs)), [xs])
+            return ad.tensor_sum(ad.square(g))
+
+        def forward(xs, vs):
+            return float(np.sum((vs * np.exp(np.minimum(xs, 0.0))) ** 2))
+
+        _, analytic = scalar_grad(build, x, v)
+        for a, n in zip(analytic, numeric_grad(forward, [x, v])):
+            assert rel_err(a, n) < 1e-6
 
     def test_swish_zero(self):
         assert ad.swish(ad.constant(0.0)).item() == 0.0

@@ -186,13 +186,27 @@ class TestExitCodes:
     @pytest.mark.parametrize("frame", [
         "energy=nan\nH 0 0 0\nH 1 0 0", "energy=0\nH 0 0 0 inf 0 0\nH 1 0 0 0 0 0"],
         ids=["energy", "forces"])
-    def test_nonfinite_label_is_data_error(self, tiny_run, frame):
+    def test_nonfinite_label_is_data_error(self, tiny_run, frame, capsys):
         cfg, tmp_path = tiny_run
+        xyz = self.bad_sixth_frame(tmp_path, frame)
+        assert main(["train", str(cfg), f"--data_path={xyz}"]) == 2
+        assert "error: line 21: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_refused_ablation_makes_no_out_dir(self, tiny_run, capsys):
+        cfg, tmp_path = tiny_run
+        xyz = self.bad_sixth_frame(tmp_path, "energy=nan\nH 0 0 0\nH 1 0 0")
+        assert main(["ablate-basis", str(cfg), f"--data_path={xyz}"]) == 2
+        assert "error: line 21: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def bad_sixth_frame(tmp_path, frame):
+        """Ten 4-line frames; the sixth (first line 21) is ``frame``."""
         good = "2\nenergy=1\nH 0 0 0 0 0 1\nH 1 0 0 0 0 -1\n"
         xyz = tmp_path / "data.xyz"
         xyz.write_text(good * 5 + f"2\n{frame}\n" + good * 4)
-        assert main(["train", str(cfg), f"--data_path={xyz}"]) == 2
-        assert not (tmp_path / "out" / "metrics.csv").exists()
+        return xyz
 
     def test_checkpoint_with_unknown_config_field(self, tmp_path):
         blob = tmp_path / "m.npz"

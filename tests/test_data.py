@@ -63,6 +63,18 @@ class TestParseErrors:
             parse_xyz_frames("1\n\nH 0 zero 0\n")
         assert e.value.line == 3
 
+    @pytest.mark.parametrize("frame", [
+        "energy=nan\nH 0 0 0\nH 1 0 0",
+        "energy=0\nH 0 0 0 inf 0 0\nH 1 0 0 0 0 0",
+        "energy=0\nH 1 0 0\nH 1 0 0"], ids=["energy", "forces", "coinciding"])
+    def test_invalid_molecule_names_its_frame(self, frame):
+        # the Molecule's own checks fail; the error names the frame's first line
+        good = "2\nenergy=1\nH 0 0 0\nH 1 0 0\n"
+        with pytest.raises(ParseError) as e:
+            parse_xyz_frames(good * 2 + f"2\n{frame}\n" + good)
+        assert e.value.line == 9
+        assert str(e.value).startswith("line 9: ")
+
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse_xyz_frames("")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from geoattn import autodiff as ad
+from geoattn import training
 from geoattn.errors import ConfigError
 from geoattn.geometry import BasisConfig, Molecule
 from geoattn.model import (GeoTModel, ModelConfig, checkpoint_bytes, ffn,
@@ -218,6 +219,27 @@ class TestForces:
             assert refs[-1]() is None
         finally:
             gc.enable()
+
+
+class TestGraphSize:
+    """Tracked nodes per molecule of the default model; the count does not
+    depend on the number of atoms."""
+
+    @pytest.fixture
+    def setup(self, rng):
+        mol = random_molecule(rng, n=3)
+        labeled = Molecule(mol.atomic_numbers, mol.coords, energy=0.0, forces=np.zeros((3, 3)))
+        return GeoTModel.init(ModelConfig(), seed=0), labeled
+
+    def test_forward_nodes(self, setup):
+        model, mol = setup
+        energy, _ = model.forward_parts(mol)
+        assert len(ad._topo_order(energy)) <= 310
+
+    def test_training_loss_nodes(self, setup):
+        model, mol = setup
+        loss = training.molecule_loss(model, mol, training.TrainConfig())
+        assert len(ad._topo_order(loss)) <= 655
 
 
 class TestAttentionTrace:
