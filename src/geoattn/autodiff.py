@@ -190,7 +190,7 @@ def mean(a, axis=None, keepdims=False) -> Tensor:
         n = a.size
     else:
         axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        n = int(np.prod([a.shape[i] for i in axes]))
+        n = math.prod(a.shape[i] for i in axes)
     return mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
@@ -492,15 +492,82 @@ def softmax(a, axis: int = -1) -> Tensor:
     return div(e, tensor_sum(e, axis=axis, keepdims=True))
 
 
+def _ln_stats(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The normalized rows n and the inverse deviation s = 1/σ of each row,
+    in the op order of ``mean``, ``sub``, ``square``, ``add``, ``sqrt`` and
+    ``div``, so they carry the bits of those primitives."""
+    inv_d = 1.0 / x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) * inv_d
+    std = np.sqrt((xc * xc).sum(axis=-1, keepdims=True) * inv_d + eps)
+    _check_finite(std, "layer_norm")
+    s = 1.0 / std
+    _check_finite(s, "layer_norm")
+    return xc * s, s
+
+
+def _row_mean(a: Tensor) -> Tensor:
+    return mean(a, axis=-1, keepdims=True)
+
+
+def _ln_stats_tensors(x: Tensor, eps: float, stats) -> tuple[Tensor, Tensor]:
+    """n and s of :func:`_ln_stats`: graph nodes of ``x`` while recording,
+    else constants of the ``stats`` arrays."""
+    if not (_RECORDING and x.requires_grad):
+        return constant(stats[0]), constant(stats[1])
+    xc = sub(x, _row_mean(x))
+    s = div(1.0, sqrt(add(_row_mean(square(xc)), eps)))
+    return mul(xc, s), s
+
+
+def _ln_back(g, x: Tensor, gain, eps: float, stats) -> Tensor:
+    """The vjp of :func:`layer_norm` into ``x``, as one node:
+    s·(u − mean u − n·mean(u·n)) with u = g·gain, means over the last axis.
+    ``stats`` are the arrays (n, s) of ``x``."""
+    g, gain = _coerce(g), _coerce(gain)
+    n, s = stats
+    inv_d = 1.0 / n.shape[-1]
+    u = g.data * gain.data
+    data = u - u.sum(axis=-1, keepdims=True) * inv_d
+    data -= n * ((u * n).sum(axis=-1, keepdims=True) * inv_d)
+    data *= s
+
+    # out = J·(g·gain) with J = ∂n/∂x, which is symmetric in each row, so
+    # the vjps into g and gain apply J to h: J·h = _ln_back(h, x, 1)
+    def back_g(h):
+        return _sum_to(mul(_ln_back(h, x, 1.0, eps, stats), gain), g.shape)
+
+    def back_gain(h):
+        return _sum_to(mul(g, _ln_back(h, x, 1.0, eps, stats)), gain.shape)
+
+    def back_x(h):
+        n, s = _ln_stats_tensors(x, eps, stats)
+        u = mul(g, gain)
+        un = _row_mean(mul(u, n))
+        w = sub(sub(u, _row_mean(u)), mul(n, un))
+        hn = _row_mean(mul(h, n))
+        jh = sub(sub(h, _row_mean(h)), mul(n, hn))
+        inner = add(add(mul(n, _row_mean(mul(h, w))), mul(w, hn)), mul(un, jh))
+        return neg(mul(square(s), inner))
+
+    return _node(data, [g, x, gain], [back_g, back_x, back_gain])
+
+
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Zero mean / unit variance over the last axis, then affine."""
-    x = _coerce(x)
-    d = x.shape[-1]
-    mu = mean(x, axis=-1, keepdims=True)
-    xc = sub(x, mu)
-    var = mean(square(xc), axis=-1, keepdims=True)
-    inv = div(1.0, sqrt(add(var, eps)))
-    return add(mul(mul(xc, inv), gain), bias)
+    """Zero mean / unit variance over the last axis, then affine, as one
+    node.  The values are those of the composite (x − μ)·(1/σ)·gain + bias
+    built from primitives, bit for bit."""
+    x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
+    stats = _ln_stats(x.data, eps)
+    try:
+        data = stats[0] * gain.data + bias.data
+    except ValueError as exc:
+        raise ShapeError(f"layer_norm: gain {gain.shape} and bias {bias.shape} "
+                         f"do not broadcast with {x.shape}") from exc
+    sg, sb = gain.shape, bias.shape
+    return _node(data, [x, gain, bias],
+                 [lambda g: _ln_back(g, x, gain, eps, stats),
+                  lambda g: _sum_to(mul(g, _ln_stats_tensors(x, eps, stats)[0]), sg),
+                  lambda g: _sum_to(g, sb)])
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,8 @@ class Dataset:
 def split_dataset(dataset: Dataset, fractions=(0.8, 0.1, 0.1), seed: int = 0) -> Dataset:
     """Deterministic shuffled split.  Sizes are floors of the fractions with
     every remainder molecule going to train."""
+    if not all(0.0 <= f <= 1.0 for f in fractions):
+        raise ConfigError(f"split fractions must lie in [0, 1], got {tuple(fractions)}")
     if abs(sum(fractions) - 1.0) > 1e-12:
         raise ConfigError(f"split fractions must sum to 1, got {sum(fractions)}")
     n = len(dataset)

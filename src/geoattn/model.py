@@ -256,13 +256,13 @@ def load_checkpoint(path) -> GeoTModel:
         if missing:
             raise ConfigError(f"checkpoint lacks parameters: {', '.join(missing)}")
         for name in names:
-            key = f"param:{name}"
             if name not in params:
                 raise ConfigError(f"checkpoint parameter {name!r} not in model")
-            if params[name].shape != blob[key].shape:
+            value = blob[f"param:{name}"]     # each access reads the zip member
+            if params[name].shape != value.shape:
                 raise ConfigError(f"shape mismatch for {name!r}: "
-                                  f"{params[name].shape} vs {blob[key].shape}")
-            params[name].data = blob[key].astype(params[name].data.dtype)
+                                  f"{params[name].shape} vs {value.shape}")
+            params[name].data = value.astype(params[name].data.dtype, copy=False)
     bad = sorted(name for name, t in params.items() if not np.all(np.isfinite(t.data)))
     if bad:
         raise ConfigError(f"checkpoint holds non-finite values in: {', '.join(bad)}")

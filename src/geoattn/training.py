@@ -46,6 +46,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.max_steps < 0:
             raise ConfigError("max_steps must be >= 0")
+        if self.force_weight < 0:
+            raise ConfigError("force_weight must be >= 0")
 
 
 def lr_schedule(step: int, cfg: TrainConfig) -> float:

@@ -218,6 +218,81 @@ class TestLayerNorm:
         for g, n in zip(analytic, numeric):
             assert rel_err(g, n) < 1e-5
 
+    @staticmethod
+    def composite(x, gain, bias, eps=1e-5):
+        """Layer norm built from primitives, as the engine once did."""
+        xc = ad.sub(x, ad.mean(x, axis=-1, keepdims=True))
+        var = ad.mean(ad.square(xc), axis=-1, keepdims=True)
+        inv = ad.div(1.0, ad.sqrt(ad.add(var, eps)))
+        return ad.add(ad.mul(ad.mul(xc, inv), gain), bias)
+
+    @pytest.mark.parametrize("rows", ["random", "constant", "1e6"])
+    def test_value_is_bitwise_composite(self, rng, rows):
+        x = {"random": rng.normal(size=(40, 64)),
+             "constant": np.full((3, 64), -2.7),
+             "1e6": 1e6 * rng.normal(size=(40, 64)) + 3e6}[rows]
+        gain, bias = rng.uniform(0.5, 1.5, 64), rng.uniform(-0.5, 0.5, 64)
+        args = [ad.parameter(a) for a in (x, gain, bias)]
+        out = ad.layer_norm(*args)
+        ref = self.composite(*args)
+        np.testing.assert_array_equal(out.data, ref.data)
+        # one node, whose gain and bias gradients are those of the composite
+        assert out.parents == tuple(args)
+        g = ad.constant(rng.normal(size=x.shape))
+        fused = ad.grad(ad.tensor_sum(ad.mul(out, g)), args[1:], create_graph=False)
+        plain = ad.grad(ad.tensor_sum(ad.mul(ref, g)), args[1:], create_graph=False)
+        for a, b in zip(fused, plain):
+            np.testing.assert_array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("x, eps", [([[1.0, np.inf]], 1e-5), ([[np.nan, 0.0]], 1e-5),
+                                        ([[1e200, -1e200]], 1e-5), ([[2.0, 2.0]], 0.0)],
+                             ids=["inf", "nan", "overflow", "zero_deviation"])
+    def test_non_finite_is_named(self, x, eps):
+        with np.errstate(all="ignore"), pytest.raises(ad.NonFiniteError, match="layer_norm"):
+            ad.layer_norm(ad.constant(x), np.ones(2), np.zeros(2), eps=eps)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ad.ShapeError, match="layer_norm"):
+            ad.layer_norm(ad.constant(np.ones((2, 3))), np.ones(4), np.zeros(3))
+
+    @staticmethod
+    def setup(rng):
+        return rng.uniform(-2, 2, (3, 5)), rng.uniform(0.5, 1.5, 5), rng.uniform(-0.5, 0.5, 5)
+
+    def test_double_backward_vs_finite_differences(self, rng):
+        # d/d(x, gain) of |d/dx sum(sin(LN))|^2 + |d/dgain sum(sin(LN))|^2
+        x, gain, bias = self.setup(rng)
+
+        def outer(xs, gs):
+            xt, gt = ad.parameter(xs), ad.parameter(gs)
+            f = ad.tensor_sum(ad.sin(ad.layer_norm(xt, gt, bias)))
+            gx, gg = ad.grad(f, [xt, gt], create_graph=True)
+            return ad.add(ad.tensor_sum(ad.square(gx)), ad.tensor_sum(ad.square(gg))), [xt, gt]
+
+        loss, leaves = outer(x, gain)
+        grads = ad.grad(loss, leaves)
+        numeric = numeric_grad(lambda xs, gs: outer(xs, gs)[0].item(), [x, gain])
+        for g, n in zip(grads, numeric):
+            assert rel_err(g.data, n) < 1e-6
+
+    def test_third_order_vs_finite_differences(self, rng):
+        # d/d(x, gain) of |g2|^2, where g2 = d/dx sum(cos(d/dx sum(sin(LN))))
+        # is a create-graph gradient of a create-graph gradient
+        x, gain, bias = self.setup(rng)
+
+        def outer(xs, gs):
+            xt, gt = ad.parameter(xs), ad.parameter(gs)
+            f = ad.tensor_sum(ad.sin(ad.layer_norm(xt, gt, bias)))
+            (g1,) = ad.grad(f, [xt], create_graph=True)
+            (g2,) = ad.grad(ad.tensor_sum(ad.cos(g1)), [xt], create_graph=True)
+            return ad.tensor_sum(ad.square(g2)), [xt, gt]
+
+        loss, leaves = outer(x, gain)
+        grads = ad.grad(loss, leaves)
+        numeric = numeric_grad(lambda xs, gs: outer(xs, gs)[0].item(), [x, gain])
+        for g, n in zip(grads, numeric):
+            assert rel_err(g.data, n) < 1e-6
+
 
 class TestSoftmax:
     def test_uniform(self):

@@ -177,10 +177,18 @@ class TestExitCodes:
     @pytest.mark.parametrize("key, value", [
         ("lr", "nan"), ("lr", "inf"), ("force_weight", "-inf"),
         ("n_heads", "0"), ("d_m", "0"), ("n_layers", "0"), ("d_h", "0"),
-        ("d_rbf", "0"), ("d_emb2", "0"), ("max_steps", "-1"), ("patience", "0")])
+        ("d_rbf", "0"), ("d_emb2", "0"), ("max_steps", "-1"), ("patience", "0"),
+        ("force_weight", "-5")])
     def test_bad_value_is_config_error(self, tiny_run, key, value):
         cfg, tmp_path = tiny_run
         assert main(["train", str(cfg), f"--{key}={value}"]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_out_of_range_fraction_is_config_error(self, tiny_run, capsys):
+        cfg, tmp_path = tiny_run
+        args = ["--train_fraction=0.9", "--val_fraction=0.2", "--test_fraction=-0.1"]
+        assert main(["train", str(cfg), *args]) == 2
+        assert "split fractions must lie in [0, 1]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("frame", [

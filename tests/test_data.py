@@ -133,6 +133,9 @@ class TestSplits:
     def test_bad_fractions(self, rng):
         with pytest.raises(ConfigError):
             split_dataset(self.make(rng, 10), (0.5, 0.2, 0.2), seed=0)
+        # they sum to 1, but one is negative
+        with pytest.raises(ConfigError, match=r"\[0, 1\]"):
+            split_dataset(self.make(rng, 20), (0.9, 0.2, -0.1), seed=0)
 
     def test_unknown_split_name(self, rng):
         ds = split_dataset(self.make(rng, 10), seed=0)
