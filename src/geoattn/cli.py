@@ -190,7 +190,10 @@ def cmd_attn_dump(args) -> int:
     if model.config.use_softmax_baseline:
         raise ConfigError("attention dump needs the geometry-gated path")
     with open(args.xyz) as fh:
-        mol = parse_xyz_frames(fh.read())[0]
+        frames = parse_xyz_frames(fh.read())
+    if len(frames) != 1:
+        raise UsageError(f"attn-dump takes one XYZ frame, {args.xyz} holds {len(frames)}")
+    mol = frames[0]
     trace: list[AttentionRecord] = []
     model.forward_parts(mol, trace=trace)
     prefix = Path(args.out_prefix)

@@ -4,7 +4,7 @@ The pair kernel maps each interatomic distance (optionally combined with a
 symmetric code for the two atomic numbers) through a per-layer two-layer MLP
 to a gating vector of width ``d_m``, evaluated once per unordered pair.
 Everything here is differentiable through the autodiff engine, including the
-distance matrix itself, which is what force prediction relies on.
+pair distances themselves, which is what force prediction relies on.
 """
 
 from __future__ import annotations
@@ -40,10 +40,8 @@ class Molecule:
             raise DataError(f"coords must have shape ({n}, 3), got {self.coords.shape}")
         if not np.all(np.isfinite(self.coords)):
             raise DataError("coordinates must be finite")
-        if n > 1:
-            d = distance_matrix(self.coords)
-            if np.min(d[~np.eye(n, dtype=bool)]) <= 0.0:
-                raise DataError("two atoms coincide exactly")
+        if min_distance(self.coords) <= 0.0:
+            raise DataError("two atoms coincide exactly")
         if self.energy is not None and not np.isfinite(self.energy):
             raise DataError(f"energy label must be finite, got {self.energy}")
         if self.forces is not None:
@@ -83,20 +81,22 @@ def distance_matrix(coords: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
-def pairwise_distances(coords: ad.Tensor) -> ad.Tensor:
-    """Differentiable N x N distance matrix.
+def min_distance(coords: np.ndarray) -> float:
+    """Smallest interatomic distance, ``inf`` for one atom."""
+    d = distance_matrix(coords)
+    np.fill_diagonal(d, np.inf)
+    return float(np.min(d))
 
-    sqrt is not differentiable at 0, so the diagonal is computed on a shifted
-    argument and masked back to exact zeros; its gradient w.r.t. coordinates
-    is exactly zero, which is the right value for the i == j pairs.
-    """
+
+def pairwise_distances(coords: ad.Tensor, pairs: ad.PairIndex) -> ad.Tensor:
+    """Differentiable (M,) distances of the i <= j ``pairs``, in their order.
+    sqrt sees only the off-diagonal pairs; the N diagonal pairs are appended
+    as exact zeros, with an exactly zero gradient w.r.t. coordinates."""
     n = coords.shape[0]
-    left = ad.reshape(coords, (n, 1, 3))
-    right = ad.reshape(coords, (1, n, 3))
-    sq = ad.tensor_sum(ad.square(ad.sub(left, right)), axis=2)
-    eye = np.eye(n)
-    safe = ad.sqrt(ad.add(sq, eye))
-    return ad.mul(safe, 1.0 - eye)
+    off = len(pairs.i) - n
+    diff = ad.sub(ad.take_rows(coords, pairs.i[:off]), ad.take_rows(coords, pairs.j[:off]))
+    r = ad.sqrt(ad.tensor_sum(ad.square(diff), axis=1))
+    return ad.pad_axis(r, 0, 0, n)
 
 
 def gaussian_basis(r: ad.Tensor, cfg: BasisConfig) -> ad.Tensor:
@@ -195,30 +195,22 @@ class PairGeometry:
     basis: ad.Tensor | None      # (M, n_basis); None for the linear basis
 
 
-def pair_geometry(dist: ad.Tensor, cfg: BasisConfig) -> PairGeometry:
-    """The i <= j pairs of the N x N distance matrix ``dist``."""
-    pairs = ad.pair_index(dist.shape[0])
-    # dist is symmetric bit for bit, so dist_ij + dist_ji is exactly 2 r_ij
-    r = ad.mul(ad.fold_pairs(dist, pairs), 0.5)
+def pair_geometry(pairs: ad.PairIndex, r: ad.Tensor, cfg: BasisConfig) -> PairGeometry:
+    """The ``pairs`` with their distances ``r`` and parameter-free basis."""
     basis = None if cfg.kind == "linear" else expand_basis(r, cfg, None)
     return PairGeometry(pairs, r, basis)
 
 
-def kernel_tensor(params: KernelParams, cfg: BasisConfig,
-                  dist: "ad.Tensor | PairGeometry",
+def kernel_tensor(params: KernelParams, cfg: BasisConfig, geo: PairGeometry,
                   atomic_numbers: np.ndarray | None) -> ad.Tensor:
-    """Full N x N x d_m kernel for one layer.
-
-    ``dist`` is the N x N distance matrix, or the :class:`PairGeometry` made
-    from it once for all layers.  The MLP runs on the M = N(N+1)/2 pairs
-    i <= j only, and its output is mirrored to N x N, so the kernel is
-    symmetric by construction.  In atom-aware mode the first layer's weights
-    split by rows into basis rows W_r and code rows W_z; the code
-    Z(z_i) + Z(z_j) and the bias b1 then enter as P_i + P_j with the
-    per-atom term P = Z(z) W_z + b1/2, which equals
-    [g; Z(z_i) + Z(z_j)] W1 + b1 by linearity.
+    """Full N x N x d_m kernel for one layer, from the :class:`PairGeometry`
+    shared by all layers.  The MLP runs on the M = N(N+1)/2 pairs i <= j
+    only, and its output is mirrored to N x N, so the kernel is symmetric by
+    construction.  In atom-aware mode the first layer's weights split by rows
+    into basis rows W_r and code rows W_z; the code Z(z_i) + Z(z_j) and the
+    bias b1 then enter as P_i + P_j with the per-atom term P = Z(z) W_z + b1/2,
+    which equals [g; Z(z_i) + Z(z_j)] W1 + b1 by linearity.
     """
-    geo = dist if isinstance(dist, PairGeometry) else pair_geometry(dist, cfg)
     g = geo.basis if geo.basis is not None else expand_basis(geo.r, cfg, params)
     if params.embed is None:
         pre = ad.add(ad.einsum("nd,de->ne", g, params.w1), params.b1)

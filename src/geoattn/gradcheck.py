@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import geometry
 from .geometry import Molecule
 from .model import GeoTModel, ModelConfig
 
@@ -48,10 +49,7 @@ def random_molecule(rng: np.random.Generator, n_atoms: int,
     numbers = rng.choice(elements, size=n_atoms)
     for _ in range(500):
         coords = rng.uniform(0.0, box, size=(n_atoms, 3))
-        if n_atoms == 1:
-            return Molecule(numbers, coords)
-        d = np.linalg.norm(coords[:, None] - coords[None, :], axis=-1)
-        if np.min(d[~np.eye(n_atoms, dtype=bool)]) >= min_distance:
+        if geometry.min_distance(coords) >= min_distance:
             return Molecule(numbers, coords)
     raise RuntimeError("rejection sampling failed")
 

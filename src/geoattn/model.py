@@ -2,10 +2,10 @@
 sum-pool readout, and forces by differentiating the energy w.r.t. the
 atomic coordinates.
 
-Energies depend on coordinates only through the pairwise distance matrix,
-so they are invariant under rigid rotations and translations by
-construction, and the sum-pool readout makes them invariant under atom
-permutations.
+Energies depend on coordinates only through the interatomic distances of
+the i <= j pairs, so they are invariant under rigid rotations and
+translations by construction, and the sum-pool readout makes them invariant
+under atom permutations.
 """
 
 from __future__ import annotations
@@ -185,10 +185,12 @@ class GeoTModel:
         return energy, coords
 
     def _encode(self, molecule: Molecule, coords: ad.Tensor, trace) -> ad.Tensor:
-        dist = pairwise_distances(coords)
-        # distances and basis of the i <= j pairs, shared by every layer
-        geo = None if self.config.use_softmax_baseline else \
-            pair_geometry(dist, self.config.basis)
+        geo = None      # the softmax baseline uses no geometry
+        if not self.config.use_softmax_baseline:
+            # distances and basis of the i <= j pairs, shared by every layer
+            pairs = ad.pair_index(molecule.n_atoms)
+            geo = pair_geometry(pairs, pairwise_distances(coords, pairs),
+                                self.config.basis)
         x = self.embed(molecule)
         for i, layer in enumerate(self.layers):
             lam = None

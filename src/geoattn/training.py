@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import Dataset
 from .errors import ConfigError, DataError
-from .geometry import Molecule, distance_matrix
+from .geometry import Molecule, min_distance
 from .model import GeoTModel, checkpoint_bytes
 
 # ---------------------------------------------------------------------------
@@ -210,8 +210,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0) -> Dataset:
         coords = None
         for _attempt in range(200):
             cand = rng.uniform(0.0, spec.box, size=(n, 3))
-            d = distance_matrix(cand)
-            if np.min(d[~np.eye(n, dtype=bool)]) >= spec.min_distance:
+            if min_distance(cand) >= spec.min_distance:
                 coords = cand
                 break
         if coords is None:

@@ -16,7 +16,7 @@ from geoattn.cli import main
 from geoattn.data import split_dataset, write_xyz
 from geoattn.geometry import (BasisConfig, Molecule, bessel_basis,
                               gaussian_basis, init_kernel_params,
-                              kernel_tensor, pairwise_distances)
+                              kernel_tensor, pair_geometry, pairwise_distances)
 from geoattn.gradcheck import force_gradcheck, random_molecule
 from geoattn.model import GeoTModel, ModelConfig, load_checkpoint
 from geoattn.training import (SyntheticSpec, TrainConfig, generate_synthetic,
@@ -135,8 +135,9 @@ def test_05_kernel_symmetry():
         p = init_kernel_params(rng, cfg, d_m=16, mode="atom_aware",
                                d_rbf=16, d_emb2=8)
         mol = random_molecule(rng, 6)
-        dist = pairwise_distances(ad.constant(mol.coords))
-        lam = kernel_tensor(p, cfg, dist, mol.atomic_numbers).data
+        pairs = ad.pair_index(mol.n_atoms)
+        geo = pair_geometry(pairs, pairwise_distances(ad.constant(mol.coords), pairs), cfg)
+        lam = kernel_tensor(p, cfg, geo, mol.atomic_numbers).data
         worst = max(worst, np.max(np.abs(lam - lam.transpose(1, 0, 2))))
     assert worst == 0.0
     report("kernel symmetry", "exact over 10 random kernels/molecules")

@@ -12,11 +12,11 @@ import pytest
 from geoattn import training
 from geoattn.cli import main
 from geoattn.config import KEYS, RunConfig
-from geoattn.data import parse_xyz_frames, write_xyz
+from geoattn.data import parse_xyz_frames, write_xyz, write_xyz_frames
 from geoattn.errors import ConfigError
 from geoattn.geometry import Molecule
 from geoattn.gradcheck import force_gradcheck
-from geoattn.model import GeoTModel, ModelConfig, load_checkpoint
+from geoattn.model import GeoTModel, ModelConfig, load_checkpoint, save_checkpoint
 
 TINY = """
 # tiny run for CLI tests
@@ -397,6 +397,17 @@ class TestAttnDumpCommand:
             _, i, j, dist, norm = row.split(",")
             assert float(dist) == pytest.approx(d[int(i), int(j)], abs=1e-12)
             assert float(norm) >= 0.0
+
+    def test_multi_frame_input_is_usage_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.npz"
+        save_checkpoint(GeoTModel.init(ModelConfig(n_layers=1, d_m=8, n_heads=2)), ckpt)
+        xyz = tmp_path / "two.xyz"
+        mol = Molecule([1, 6], [[0, 0, 0], [1.2, 0, 0]])
+        xyz.write_text(write_xyz_frames([mol, mol]))
+        prefix = tmp_path / "dump" / "attn"
+        assert main(["attn-dump", str(ckpt), str(xyz), "--out-prefix", str(prefix)]) == 2
+        assert "holds 2" in capsys.readouterr().err
+        assert not (tmp_path / "dump").exists()
 
 
 KEEP_HEAP_SCRIPT = """

@@ -234,12 +234,12 @@ class TestGraphSize:
     def test_forward_nodes(self, setup):
         model, mol = setup
         energy, _ = model.forward_parts(mol)
-        assert len(ad._topo_order(energy)) <= 222
+        assert len(ad._topo_order(energy)) <= 219
 
     def test_training_loss_nodes(self, setup):
         model, mol = setup
         loss = training.molecule_loss(model, mol, training.TrainConfig())
-        assert len(ad._topo_order(loss)) <= 383
+        assert len(ad._topo_order(loss)) <= 374
 
 
 class TestAttentionTrace:
