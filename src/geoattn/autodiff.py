@@ -104,8 +104,10 @@ def _coerce(x) -> Tensor:
 def _node(data: np.ndarray, parents: Sequence[Tensor], vjps: Sequence[Callable]) -> Tensor:
     """Build an op node, pruning the graph when no parent is tracked or
     nothing is being recorded."""
-    if _RECORDING and any(p.requires_grad for p in parents):
-        return Tensor(data, tuple(parents), tuple(vjps), requires_grad=True)
+    if _RECORDING:
+        for p in parents:       # a plain loop: any() costs a generator per node
+            if p.requires_grad:
+                return Tensor(data, tuple(parents), tuple(vjps), requires_grad=True)
     return Tensor(data)
 
 
@@ -245,13 +247,19 @@ class PairIndex(NamedTuple):
     lower: np.ndarray    # (M - N,) flat position j*N + i of the off-diagonal pairs
 
 
+@functools.lru_cache(maxsize=256)
 def pair_index(n: int) -> PairIndex:
+    """The pairs of ``n`` atoms, built once per atom count; the arrays are
+    shared by every caller, so they are read-only."""
     off_i, off_j = np.triu_indices(n, 1)
     atoms = np.arange(n)
     i, j = np.concatenate([off_i, atoms]), np.concatenate([off_j, atoms])
     index = np.empty((n, n), dtype=np.intp)
     index[i, j] = index[j, i] = np.arange(len(i))
-    return PairIndex(i, j, index, i * n + j, off_j * n + off_i)
+    pairs = PairIndex(i, j, index, i * n + j, off_j * n + off_i)
+    for arr in pairs:
+        arr.flags.writeable = False
+    return pairs
 
 
 def expand_pairs(u, pairs: PairIndex) -> Tensor:
@@ -443,20 +451,37 @@ def _einsum_plan(spec: str, shapes: tuple):
     free_r = [i for i in free if i in right]
     summed = [i for i in left if i not in out]
     product = batch + free_l + free_r
-    unfolded, axes_out = [extents[i] for i in product], [product.index(i) for i in out]
+    batch_group = [batch] if batch else []      # no size-1 batch axis
 
-    def fold(term, *groups):    # the axis order, and one axis per group
-        return ([term.index(i) for group in groups for i in group],
-                [math.prod(extents[i] for i in group) for group in groups])
+    # each layout step is None where it would do nothing
+    def fold(term, groups):     # the axis order, then one axis per group
+        axes = [term.index(i) for group in groups for i in group]
+        shape = tuple(math.prod(extents[i] for i in group) for group in groups)
+        ordered = tuple(extents[term[k]] for k in axes)
+        return (None if axes == sorted(axes) else axes), (None if shape == ordered else shape)
 
-    (axes_l, fold_l), (axes_r, fold_r) = (fold(left, batch, free_l, summed),
-                                          fold(right, batch, summed, free_r))
+    axes_l, fold_l = fold(left, batch_group + [free_l, summed])
+    axes_r, fold_r = fold(right, batch_group + [summed, free_r])
+    # the product comes out as ``out`` folded the same way; undo that fold
+    axes_o, fold_o = fold(out, batch_group + [free_l, free_r])
+    unfold = None if fold_o is None else [extents[i] for i in product]
+    axes_out = None if axes_o is None else [product.index(i) for i in out]
 
     def contract(a, b):
-        a, b = (b, a) if swap else (a, b)
-        c = np.matmul(a.transpose(axes_l).reshape(fold_l),
-                      b.transpose(axes_r).reshape(fold_r))
-        return c.reshape(unfolded).transpose(axes_out)
+        if swap:
+            a, b = b, a
+        if axes_l is not None:
+            a = a.transpose(axes_l)
+        if fold_l is not None:
+            a = a.reshape(fold_l)
+        if axes_r is not None:
+            b = b.transpose(axes_r)
+        if fold_r is not None:
+            b = b.reshape(fold_r)
+        c = np.matmul(a, b)
+        if unfold is not None:
+            c = c.reshape(unfold)
+        return c if axes_out is None else c.transpose(axes_out)
 
     return vjp_specs, contract
 
@@ -467,13 +492,13 @@ def einsum(spec: str, *operands) -> Tensor:
     vjp of each operand is the einsum of the incoming gradient with the
     other operands, so it differentiates again like any other op."""
     operands = [_coerce(t) for t in operands]
-    vjp_specs, contract = _einsum_plan(spec, tuple(t.shape for t in operands))
+    arrays = [t.data for t in operands]
+    vjp_specs, contract = _einsum_plan(spec, tuple(a.shape for a in arrays))
 
     def vjp(k):
         return lambda g: einsum(vjp_specs[k], g, *operands[:k], *operands[k + 1:])
 
-    return _node(contract(*(t.data for t in operands)), operands,
-                 [vjp(k) for k in range(len(operands))])
+    return _node(contract(*arrays), operands, [vjp(k) for k in range(len(operands))])
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +544,23 @@ def _ln_stats_tensors(x: Tensor, eps: float, stats) -> tuple[Tensor, Tensor]:
     return mul(xc, s), s
 
 
+def _ln_back_x(h: np.ndarray, u: np.ndarray, stats) -> np.ndarray:
+    """The x-vjp of :func:`_ln_back` for u = g·gain, on arrays, in the op
+    order of its composite, so it carries the same bits."""
+    n, s = stats
+    inv_d = 1.0 / n.shape[-1]
+
+    def row_mean(a):
+        return a.sum(axis=-1, keepdims=True) * inv_d
+
+    un = row_mean(u * n)
+    w = (u - row_mean(u)) - n * un
+    hn = row_mean(h * n)
+    jh = (h - row_mean(h)) - n * hn
+    inner = (n * row_mean(h * w) + w * hn) + un * jh
+    return -((s * s) * inner)
+
+
 def _ln_back(g, x: Tensor, gain, eps: float, stats) -> Tensor:
     """The vjp of :func:`layer_norm` into ``x``, as one node:
     s·(u − mean u − n·mean(u·n)) with u = g·gain, means over the last axis.
@@ -540,6 +582,8 @@ def _ln_back(g, x: Tensor, gain, eps: float, stats) -> Tensor:
         return _sum_to(mul(g, _ln_back(h, x, 1.0, eps, stats)), gain.shape)
 
     def back_x(h):
+        if not _RECORDING:      # the composite below, on arrays, bit for bit
+            return Tensor(_ln_back_x(h.data, g.data * gain.data, stats))
         n, s = _ln_stats_tensors(x, eps, stats)
         u = mul(g, gain)
         un = _row_mean(mul(u, n))
@@ -573,22 +617,29 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 # ---------------------------------------------------------------------------
 # gradients
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    """Tracked nodes below ``root``, every parent before its children."""
+def _live_order(root: Tensor, live: set[int]) -> list[Tensor]:
+    """The nodes below ``root`` on a path from a node in ``live``, every
+    parent before its children, from one post-order walk.  ``live`` holds
+    the ids of the tracked tensors the paths start from; the walk adds the
+    ids of the nodes it returns."""
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
+        key = id(node)
         if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen or not node.requires_grad:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            stack.append((p, False))
+            for p in node.parents:
+                if id(p) in live:
+                    live.add(key)
+                    order.append(node)
+                    break
+        elif key not in seen:
+            seen.add(key)
+            stack.append((node, True))
+            for p in node.parents:
+                if p.requires_grad:
+                    stack.append((p, False))
     return order
 
 
@@ -607,23 +658,20 @@ def grad(output: Tensor, wrt: Iterable[Tensor], create_graph: bool = True) -> li
     keep = {id(t) for t in wrt}
     gmap: dict[int, Tensor] = {}
     if output.requires_grad:
-        order = _topo_order(output)
         live = {id(t) for t in wrt if t.requires_grad}
-        for node in order:
-            if any(id(p) in live for p in node.parents):
-                live.add(id(node))
+        order = _live_order(output, live)
         gmap[id(output)] = constant(np.ones(output.shape))
         with contextlib.nullcontext() if create_graph else no_graph():
             for node in reversed(order):
-                g = gmap.get(id(node)) if id(node) in keep else gmap.pop(id(node), None)
+                key = id(node)
+                g = gmap.get(key) if key in keep else gmap.pop(key, None)
                 if g is None:
                     continue
                 for p, vjp in zip(node.parents, node.vjps):
-                    if id(p) not in live:
-                        continue
-                    contrib = vjp(g)
-                    prev = gmap.get(id(p))
-                    gmap[id(p)] = contrib if prev is None else add(prev, contrib)
+                    if id(p) in live:
+                        contrib = vjp(g)
+                        prev = gmap.get(id(p))
+                        gmap[id(p)] = contrib if prev is None else add(prev, contrib)
     out = []
     for t in wrt:
         g = gmap.get(id(t))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,8 +247,19 @@ def _check_fields(cls, values, what: str) -> None:
 
 
 def load_checkpoint(path) -> GeoTModel:
-    with np.load(path) as blob:
-        fields = json.loads(bytes(blob["__config__"]).decode())
+    try:
+        blob = np.load(path)    # pickles are refused, not loaded
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{path} is not a geoattn checkpoint: not an .npz archive") from exc
+    if not isinstance(blob, np.lib.npyio.NpzFile):
+        raise ConfigError(f"{path} is not a geoattn checkpoint: a bare .npy array")
+    with blob:
+        if "__config__" not in blob.files:
+            raise ConfigError(f"{path} is not a geoattn checkpoint: no __config__")
+        try:
+            fields = json.loads(bytes(blob["__config__"]).decode())
+        except ValueError as exc:       # bad JSON or bad UTF-8
+            raise ConfigError(f"{path}: checkpoint __config__ is not JSON ({exc})") from exc
         _check_fields(ModelConfig, fields, "config")
         _check_fields(BasisConfig, fields["basis"], "basis config")
         config = ModelConfig(**fields)
@@ -260,7 +272,11 @@ def load_checkpoint(path) -> GeoTModel:
         for name in names:
             if name not in params:
                 raise ConfigError(f"checkpoint parameter {name!r} not in model")
-            value = blob[f"param:{name}"]     # each access reads the zip member
+            try:
+                value = blob[f"param:{name}"]     # each access reads the zip member
+            except (ValueError, zipfile.BadZipFile) as exc:
+                raise ConfigError(f"{path}: checkpoint parameter {name!r} is unreadable "
+                                  f"({exc})") from exc
             if params[name].shape != value.shape:
                 raise ConfigError(f"shape mismatch for {name!r}: "
                                   f"{params[name].shape} vs {value.shape}")

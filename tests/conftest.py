@@ -1,6 +1,16 @@
 import numpy as np
 import pytest
 
+# the PASS lines of tests/test_acceptance.py, in the order the tests ran
+HEADLINES: list[str] = []
+
+
+def pytest_terminal_summary(terminalreporter):
+    if HEADLINES:
+        terminalreporter.section("acceptance headlines")
+        for line in HEADLINES:
+            terminalreporter.write_line(line)
+
 
 def numeric_grad(fn, arrays, h=1e-5):
     """Central finite differences of a scalar function of numpy arrays."""
@@ -17,6 +27,18 @@ def numeric_grad(fn, arrays, h=1e-5):
             flat[i] = (fn(*plus) - fn(*minus)) / (2 * h)
         grads.append(g)
     return grads
+
+
+def tracked_nodes(root):
+    """Every tracked node below ``root`` (``root`` included), each once."""
+    seen, stack, nodes = set(), [root], []
+    while stack:
+        node = stack.pop()
+        if node.requires_grad and id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node.parents)
+    return nodes
 
 
 def rel_err(a, b):

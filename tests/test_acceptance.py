@@ -1,7 +1,8 @@
 """End-to-end acceptance checks.
 
 Each test prints a single PASS line with its headline number so the suite
-doubles as a verification report when run with ``pytest -v -s``.
+doubles as a verification report when run with ``pytest -v -s``; the lines
+are also repeated in the terminal summary, so ``pytest -q`` shows them.
 """
 
 import itertools
@@ -21,10 +22,13 @@ from geoattn.gradcheck import force_gradcheck, random_molecule
 from geoattn.model import GeoTModel, ModelConfig, load_checkpoint
 from geoattn.training import (SyntheticSpec, TrainConfig, generate_synthetic,
                               molecule_loss, train)
+from conftest import HEADLINES
 
 
 def report(name, detail):
-    print(f"PASS {name}: {detail}")
+    line = f"PASS {name}: {detail}"
+    print(line)
+    HEADLINES.append(line)      # conftest prints these in the terminal summary
 
 
 def rotation(rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from geoattn import autodiff as ad
-from conftest import numeric_grad, rel_err
+from conftest import numeric_grad, rel_err, tracked_nodes
 
 
 def scalar_grad(build, *arrays):
@@ -275,6 +275,25 @@ class TestLayerNorm:
         for g, n in zip(grads, numeric):
             assert rel_err(g.data, n) < 1e-6
 
+    @pytest.mark.parametrize("shape", [(4, 8), (2, 3, 8)])
+    def test_no_graph_double_backward_is_bitwise_recorded(self, rng, shape):
+        # a gradient norm inside the loss, as with forces: the parameter
+        # sweep runs the x-vjp of layer norm's own vjp, on arrays without
+        # create_graph and on graph nodes with it
+        x = ad.parameter(rng.uniform(-2, 2, shape))
+        w = ad.parameter(rng.uniform(0.5, 1.5, shape[-1]))
+        gain, bias = (ad.parameter(rng.uniform(0.5, 1.5, shape[-1])),
+                      ad.parameter(rng.uniform(-0.5, 0.5, shape[-1])))
+        f = ad.tensor_sum(ad.sin(ad.layer_norm(ad.mul(x, w), gain, bias)))
+        (gx,) = ad.grad(f, [x], create_graph=True)
+        loss = ad.add(f, ad.tensor_sum(ad.square(gx)))
+        leaves = [x, w, gain, bias]
+        plain = ad.grad(loss, leaves, create_graph=False)
+        tracked = ad.grad(loss, leaves, create_graph=True)
+        for a, b in zip(plain, tracked):
+            assert not a.requires_grad
+            np.testing.assert_array_equal(a.data, b.data)
+
     def test_third_order_vs_finite_differences(self, rng):
         # d/d(x, gain) of |g2|^2, where g2 = d/dx sum(cos(d/dx sum(sin(LN))))
         # is a create-graph gradient of a create-graph gradient
@@ -350,6 +369,7 @@ class TestEinsum:
            "bij,bjk->bik",      # a batch index
            "ne,nd->de",         # the second operand's free index leads the output
            "ijk,jkl->il",       # two summed indices
+           "ki,jk->ij",         # every layout step: both operands and the output transposed
            "i,j->ij"]           # outer product
 
     def operands(self, rng, spec):
@@ -554,10 +574,10 @@ class TestGradContract:
         (numeric,) = numeric_grad(lambda a: loss(ad.constant(a)).item(), [x.data])
         assert rel_err(plain.data, numeric) < 1e-7
 
-        forward = [node.data.copy() for node in ad._topo_order(out)]
+        forward = [node.data.copy() for node in tracked_nodes(out)]
         first = plain.data.copy()
         (again,) = ad.grad(out, [x], create_graph=False)
-        for node, data in zip(ad._topo_order(out), forward):
+        for node, data in zip(tracked_nodes(out), forward):
             np.testing.assert_array_equal(node.data, data)
         np.testing.assert_array_equal(plain.data, first)
         np.testing.assert_array_equal(again.data, first)
@@ -573,6 +593,16 @@ class TestPairOps:
         np.testing.assert_array_equal(pairs.j[-3:], [0, 1, 2])
         np.testing.assert_array_equal(pairs.index, pairs.index.T)
         np.testing.assert_array_equal(pairs.index[pairs.i, pairs.j], np.arange(6))
+
+    def test_cached_per_atom_count(self):
+        assert ad.pair_index(7) is ad.pair_index(7)
+        assert ad.pair_index(7) is not ad.pair_index(8)
+
+    @pytest.mark.parametrize("field", ad.PairIndex._fields)
+    def test_cached_arrays_are_read_only(self, field):
+        arr = getattr(ad.pair_index(4), field)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_expand_and_fold_are_adjoint(self, rng, n):

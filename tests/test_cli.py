@@ -216,6 +216,40 @@ class TestExitCodes:
         xyz.write_text(good * 5 + f"2\n{frame}\n" + good * 4)
         return xyz
 
+    @staticmethod
+    def write_bad_checkpoint(path, case):
+        if case == "text":
+            path.write_text("hello\n")
+        elif case == "truncated_zip":
+            np.savez(path, __config__=np.frombuffer(CHECKPOINT_CONFIG.encode(), dtype=np.uint8),
+                     x=np.arange(100.0))
+            path.write_bytes(path.read_bytes()[:300])
+        elif case == "bare_npy":
+            with open(path, "wb") as fh:
+                np.save(fh, np.arange(3.0))
+        elif case == "corrupt_member":
+            model = GeoTModel.init(ModelConfig(**json.loads(CHECKPOINT_CONFIG)), seed=0)
+            save_checkpoint(model, path)
+            data = bytearray(path.read_bytes())
+            data[len(data) // 2] ^= 0xFF        # inside a parameter's zip member
+            path.write_bytes(bytes(data))
+        elif case == "no_config":
+            np.savez(path, x=np.arange(3.0))
+        else:
+            np.savez(path, __config__=np.frombuffer(b'{"n_layers": 2,', dtype=np.uint8))
+
+    @pytest.mark.parametrize("case", ["text", "truncated_zip", "bare_npy", "corrupt_member",
+                                      "no_config", "bad_json"])
+    def test_not_a_checkpoint_is_config_error(self, tmp_path, capsys, case):
+        blob = tmp_path / "model.npz"
+        self.write_bad_checkpoint(blob, case)
+        xyz = tmp_path / "m.xyz"
+        xyz.write_text("1\nenergy=0\nH 0 0 0\n")
+        assert main(["forces", str(blob), str(xyz)]) == 2
+        err = capsys.readouterr().err
+        assert str(blob) in err
+        assert "runtime error" not in err and "allow_pickle" not in err
+
     def test_checkpoint_with_unknown_config_field(self, tmp_path):
         blob = tmp_path / "m.npz"
         model = GeoTModel.init(ModelConfig(**json.loads(CHECKPOINT_CONFIG)), seed=0)

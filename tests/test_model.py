@@ -13,7 +13,7 @@ from geoattn.errors import ConfigError
 from geoattn.geometry import BasisConfig, Molecule
 from geoattn.model import (GeoTModel, ModelConfig, checkpoint_bytes, ffn,
                            load_checkpoint, save_checkpoint)
-from conftest import numeric_grad, rel_err
+from conftest import numeric_grad, rel_err, tracked_nodes
 
 
 def small_config(**over):
@@ -234,12 +234,12 @@ class TestGraphSize:
     def test_forward_nodes(self, setup):
         model, mol = setup
         energy, _ = model.forward_parts(mol)
-        assert len(ad._topo_order(energy)) <= 219
+        assert len(tracked_nodes(energy)) <= 219
 
     def test_training_loss_nodes(self, setup):
         model, mol = setup
         loss = training.molecule_loss(model, mol, training.TrainConfig())
-        assert len(ad._topo_order(loss)) <= 374
+        assert len(tracked_nodes(loss)) <= 374
 
 
 class TestAttentionTrace:
