@@ -24,9 +24,9 @@ model.forward_parts(mol, trace=trace)
 dist = np.linalg.norm(mol.coords[:, None] - mol.coords[None], axis=-1)
 off = ~np.eye(mol.n_atoms, dtype=bool)
 
-for rec in trace:
+for layer, rec in enumerate(trace):     # one record per layer, in order
     norm = rec.norm_map()
-    print(f"layer {rec.layer}:")
+    print(f"layer {layer}:")
     edges = np.linspace(dist[off].min(), dist[off].max(), 6)
     for lo, hi in zip(edges[:-1], edges[1:]):
         sel = off & (dist >= lo) & (dist < hi + 1e-12)

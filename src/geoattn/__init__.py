@@ -2,8 +2,8 @@
 forces, with a self-contained reverse-mode autodiff engine."""
 
 from . import autodiff
-from .attention import (AttentionRecord, attn_scale, dump_attention_norms,
-                        geo_attention_logits, geo_msa, qkv_project)
+from .attention import (AttentionRecord, attn_scale, geo_attention_logits,
+                        geo_msa, qkv_project)
 from .data import Dataset, parse_xyz_frames, split_dataset, write_xyz
 from .geometry import (BasisConfig, Molecule, bessel_basis, gaussian_basis,
                        kernel_tensor, linear_basis, pairwise_distances)

@@ -24,9 +24,8 @@ from .errors import ConfigError, UsageError
 
 @dataclass
 class AttentionRecord:
-    """Per-layer trace of the (possibly AttnScale'd) unnormalized maps."""
+    """A layer's (possibly AttnScale'd) maps; a trace holds one per layer, in order."""
 
-    layer: int
     logits: np.ndarray     # N x N x h, after AttnScale if enabled
 
     def norm_map(self) -> np.ndarray:
@@ -40,10 +39,6 @@ class AttentionParams:
     wk: ad.Tensor
     wv: ad.Tensor
     w_a: ad.Tensor   # AttnScale amplification, scalar per layer
-
-    def named(self, prefix: str) -> dict[str, ad.Tensor]:
-        return {f"{prefix}.wq": self.wq, f"{prefix}.wk": self.wk,
-                f"{prefix}.wv": self.wv, f"{prefix}.w_a": self.w_a}
 
 
 def init_attention_params(rng: np.random.Generator, d_m: int) -> AttentionParams:
@@ -93,8 +88,7 @@ def attn_scale(a: ad.Tensor, w_a: ad.Tensor) -> ad.Tensor:
 
 
 def geo_msa(x: ad.Tensor, lam: "ad.Tensor | None", params: AttentionParams,
-            cfg: "ModelConfig", layer: int = 0,
-            trace: "list[AttentionRecord] | None" = None) -> ad.Tensor:
+            cfg: "ModelConfig", trace: "list[AttentionRecord] | None" = None) -> ad.Tensor:
     """Multi-head attention: softmax-free and gated by the pair kernel
     ``lam``, or the softmax baseline (``lam`` unused) when the model's
     ``ModelConfig`` asks."""
@@ -108,23 +102,18 @@ def geo_msa(x: ad.Tensor, lam: "ad.Tensor | None", params: AttentionParams,
         if cfg.use_attn_scale:
             a = attn_scale(a, params.w_a)
     if trace is not None:
-        trace.append(AttentionRecord(layer=layer, logits=a.data.copy()))
+        trace.append(AttentionRecord(a.data.copy()))
     return ad.reshape(ad.einsum("ijh,jhc->ihc", a, v), (n, cfg.d_m))
 
 
-def dump_attention_norms(records: "list[AttentionRecord]") -> dict[int, np.ndarray]:
-    """Per-layer head-averaged magnitude maps, keyed by layer index."""
+def format_attention_csv(records: "list[AttentionRecord]") -> str:
+    """Dump format: one line per (layer, i, j) with the head-averaged value;
+    a record's position in the trace is its layer."""
     if not records:
         raise UsageError("no attention trace collected; run a forward pass with tracing")
-    return {rec.layer: rec.norm_map() for rec in records}
-
-
-def format_attention_csv(records: "list[AttentionRecord]") -> str:
-    """Dump format: one line per (layer, i, j) with the head-averaged value."""
-    maps = dump_attention_norms(records)
     lines = ["layer,head_avg,i,j,value"]
-    for layer in sorted(maps):
-        m = maps[layer]
+    for layer, rec in enumerate(records):
+        m = rec.norm_map()
         n = m.shape[0]
         for i in range(n):
             for j in range(n):

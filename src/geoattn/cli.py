@@ -26,7 +26,8 @@ from .errors import ConfigError, DataError, UsageError
 from .geometry import Molecule, distance_matrix
 from .gradcheck import force_gradcheck
 from .model import GeoTModel, ModelConfig, load_checkpoint, save_checkpoint
-from .training import SyntheticSpec, TrainConfig, generate_synthetic, train
+from .training import (SyntheticSpec, TrainConfig, generate_synthetic, train,
+                       training_splits)
 
 
 @functools.lru_cache(maxsize=1)
@@ -74,9 +75,12 @@ def _build_dataset(cfg: RunConfig) -> Dataset:
     if cfg["data_path"]:
         if not Path(cfg["data_path"]).exists():
             raise ConfigError(f"dataset not found: {cfg['data_path']}")
-        return load_dataset(cfg["data_path"], fractions, cfg["seed"])
-    data = generate_synthetic(cfg.build(SyntheticSpec), seed=cfg["seed"])
-    return split_dataset(data, fractions, cfg["seed"])
+        data = load_dataset(cfg["data_path"], fractions, cfg["seed"])
+    else:
+        data = generate_synthetic(cfg.build(SyntheticSpec), seed=cfg["seed"])
+        data = split_dataset(data, fractions, cfg["seed"])
+    training_splits(data)       # refuse unusable data before any output exists
+    return data
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -202,12 +206,12 @@ def cmd_attn_dump(args) -> int:
     attn_path.write_text(format_attention_csv(trace))
     dist = distance_matrix(mol.coords)
     lines = ["layer,i,j,distance,norm"]
-    for rec in trace:
+    for layer, rec in enumerate(trace):
         norm = rec.norm_map()
         n = norm.shape[0]
         for i in range(n):
             for j in range(n):
-                lines.append(f"{rec.layer},{i},{j},{dist[i, j]:.17g},{norm[i, j]:.17g}")
+                lines.append(f"{layer},{i},{j},{dist[i, j]:.17g},{norm[i, j]:.17g}")
     pairs_path = Path(f"{prefix}_pairs.csv")
     pairs_path.write_text("\n".join(lines) + "\n")
     print(f"wrote {attn_path} and {pairs_path}")

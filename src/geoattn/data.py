@@ -117,7 +117,6 @@ def write_xyz_frames(molecules: list[Molecule]) -> str:
 class Dataset:
     molecules: list
     target_name: str = "energy"
-    units: str = ""
     splits: dict = field(default_factory=dict)
 
     def subset(self, split: str) -> list:

@@ -88,6 +88,27 @@ def min_distance(coords: np.ndarray) -> float:
     return float(np.min(d))
 
 
+def random_coords(rng: np.random.Generator, n: int, box: float,
+                  min_dist: float) -> np.ndarray:
+    """n points uniform in [0, box)^3, no two closer than ``min_dist``.  The
+    whole set is drawn up to 200 times, then placed atom by atom, each atom
+    redrawn until it keeps its distance; dense molecules need the latter."""
+    for _ in range(200):
+        coords = rng.uniform(0.0, box, size=(n, 3))
+        if min_distance(coords) >= min_dist:
+            return coords
+    for i in range(n):
+        for _ in range(1000):
+            c = rng.uniform(0.0, box, 3)
+            if i == 0 or np.min(np.linalg.norm(coords[:i] - c, axis=1)) >= min_dist:
+                coords[i] = c
+                break
+        else:
+            raise DataError("could not place atoms with the minimum distance; "
+                            "increase the box or reduce the atom count")
+    return coords
+
+
 def pairwise_distances(coords: ad.Tensor, pairs: ad.PairIndex) -> ad.Tensor:
     """Differentiable (M,) distances of the i <= j ``pairs``, in their order.
     sqrt sees only the off-diagonal pairs; the N diagonal pairs are appended
@@ -138,16 +159,6 @@ class KernelParams:
     embed: ad.Tensor | None = None    # (MAX_ATOMIC_NUMBER + 1, d_emb2), atom-aware mode
     lin_a: ad.Tensor | None = None    # (n_basis,), linear basis only
     lin_b: ad.Tensor | None = None
-
-    def named(self, prefix: str) -> dict[str, ad.Tensor]:
-        out = {f"{prefix}.w1": self.w1, f"{prefix}.b1": self.b1,
-               f"{prefix}.w2": self.w2, f"{prefix}.b2": self.b2}
-        if self.embed is not None:
-            out[f"{prefix}.embed"] = self.embed
-        if self.lin_a is not None:
-            out[f"{prefix}.lin_a"] = self.lin_a
-            out[f"{prefix}.lin_b"] = self.lin_b
-        return out
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
-from .geometry import Molecule
+from .geometry import BasisConfig, Molecule, random_coords
 from .model import GeoTModel, ModelConfig
 
 
@@ -47,11 +46,7 @@ def random_molecule(rng: np.random.Generator, n_atoms: int,
                     elements=(1, 6, 7, 8), box: float = 4.0,
                     min_distance: float = 0.8) -> Molecule:
     numbers = rng.choice(elements, size=n_atoms)
-    for _ in range(500):
-        coords = rng.uniform(0.0, box, size=(n_atoms, 3))
-        if geometry.min_distance(coords) >= min_distance:
-            return Molecule(numbers, coords)
-    raise RuntimeError("rejection sampling failed")
+    return Molecule(numbers, random_coords(rng, n_atoms, box, min_distance))
 
 
 @dataclass
@@ -90,7 +85,6 @@ def force_gradcheck(n_trials: int = 5, seed: int = 0, max_atoms: int = 12,
 
 
 def _random_small_config(rng: np.random.Generator) -> ModelConfig:
-    from .geometry import BasisConfig
     d_m = int(rng.choice([16, 32, 64]))
     heads = int(rng.choice([1, 2, 4]))
     return ModelConfig(

@@ -85,19 +85,23 @@ class LayerParams:
     ffn_b1: ad.Tensor
     ffn_w2: ad.Tensor
     ffn_b2: ad.Tensor
-    ln_gains: list
-    ln_biases: list
+    ln0_gain: ad.Tensor
+    ln0_bias: ad.Tensor
+    ln1_gain: ad.Tensor | None      # the second layer norm, sequential blocks only
+    ln1_bias: ad.Tensor | None
 
-    def named(self, prefix: str) -> dict[str, ad.Tensor]:
-        out = {}
-        out.update(self.attn.named(f"{prefix}.attn"))
-        out.update(self.kernel.named(f"{prefix}.kernel"))
-        out.update({f"{prefix}.ffn_w1": self.ffn_w1, f"{prefix}.ffn_b1": self.ffn_b1,
-                    f"{prefix}.ffn_w2": self.ffn_w2, f"{prefix}.ffn_b2": self.ffn_b2})
-        for i, (g, b) in enumerate(zip(self.ln_gains, self.ln_biases)):
-            out[f"{prefix}.ln{i}_gain"] = g
-            out[f"{prefix}.ln{i}_bias"] = b
-        return out
+
+def named_tensors(params, prefix: str) -> dict[str, ad.Tensor]:
+    """The tensors of parameter dataclass ``params`` keyed by field path under
+    ``prefix``: nested dataclasses recurse, ``None`` fields are skipped."""
+    out = {}
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if dataclasses.is_dataclass(value):
+            out.update(named_tensors(value, f"{prefix}.{f.name}"))
+        elif value is not None:
+            out[f"{prefix}.{f.name}"] = value
+    return out
 
 
 def ffn(x: ad.Tensor, layer: LayerParams) -> ad.Tensor:
@@ -122,7 +126,7 @@ class GeoTModel:
         d_m = config.d_m
         embedding = ad.parameter(rng.normal(0.0, 1.0 / np.sqrt(d_m),
                                             size=(MAX_ATOMIC_NUMBER + 1, d_m)))
-        n_ln = 2 if config.block_kind == "sequential" else 1
+        seq = config.block_kind == "sequential"
         layers = []
         for _ in range(config.n_layers):
             layers.append(LayerParams(
@@ -134,8 +138,10 @@ class GeoTModel:
                 ffn_b1=ad.parameter(np.zeros(config.d_h)),
                 ffn_w2=ad.parameter(glorot(rng, config.d_h, d_m)),
                 ffn_b2=ad.parameter(np.zeros(d_m)),
-                ln_gains=[ad.parameter(np.ones(d_m)) for _ in range(n_ln)],
-                ln_biases=[ad.parameter(np.zeros(d_m)) for _ in range(n_ln)],
+                ln0_gain=ad.parameter(np.ones(d_m)),
+                ln0_bias=ad.parameter(np.zeros(d_m)),
+                ln1_gain=ad.parameter(np.ones(d_m)) if seq else None,
+                ln1_bias=ad.parameter(np.zeros(d_m)) if seq else None,
             ))
         w_pool = ad.parameter(glorot(rng, d_m, 1))
         b_out = ad.parameter(np.zeros(()))
@@ -146,10 +152,8 @@ class GeoTModel:
     def params(self) -> dict[str, ad.Tensor]:
         out = {"atom_embedding": self.atom_embedding}
         for i, layer in enumerate(self.layers):
-            out.update(layer.named(f"layer{i}"))
-        out["w_pool"] = self.w_pool
-        out["b_out"] = self.b_out
-        return out
+            out.update(named_tensors(layer, f"layer{i}"))
+        return {**out, "w_pool": self.w_pool, "b_out": self.b_out}
 
     # -- forward ------------------------------------------------------------
 
@@ -159,16 +163,14 @@ class GeoTModel:
             raise DataError("atomic number out of range")
         return ad.take_rows(self.atom_embedding, z)
 
-    def _block(self, x: ad.Tensor, lam, layer: LayerParams, index: int,
-               trace) -> ad.Tensor:
+    def _block(self, x: ad.Tensor, lam, layer: LayerParams, trace) -> ad.Tensor:
         cfg = self.config
-        msa = geo_msa(x, lam, layer.attn, cfg, layer=index, trace=trace)
+        msa = geo_msa(x, lam, layer.attn, cfg, trace=trace)
         if cfg.block_kind == "sequential":
-            xt = ad.layer_norm(ad.add(msa, x), layer.ln_gains[0], layer.ln_biases[0])
-            return ad.layer_norm(ad.add(ffn(xt, layer), xt),
-                                 layer.ln_gains[1], layer.ln_biases[1])
+            xt = ad.layer_norm(ad.add(msa, x), layer.ln0_gain, layer.ln0_bias)
+            return ad.layer_norm(ad.add(ffn(xt, layer), xt), layer.ln1_gain, layer.ln1_bias)
         mixed = ad.add(ad.add(msa, ffn(x, layer)), x)
-        return ad.layer_norm(mixed, layer.ln_gains[0], layer.ln_biases[0])
+        return ad.layer_norm(mixed, layer.ln0_gain, layer.ln0_bias)
 
     def readout(self, x: ad.Tensor) -> ad.Tensor:
         pooled = ad.tensor_sum(x, axis=0, keepdims=True)      # 1 x d_m
@@ -193,12 +195,12 @@ class GeoTModel:
             geo = pair_geometry(pairs, pairwise_distances(coords, pairs),
                                 self.config.basis)
         x = self.embed(molecule)
-        for i, layer in enumerate(self.layers):
+        for layer in self.layers:
             lam = None
             if geo is not None:
                 lam = kernel_tensor(layer.kernel, self.config.basis, geo,
                                     molecule.atomic_numbers)
-            x = self._block(x, lam, layer, i, trace)
+            x = self._block(x, lam, layer, trace)
         return x
 
     def energy(self, molecule: Molecule) -> float:

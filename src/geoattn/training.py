@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import Dataset
 from .errors import ConfigError, DataError
-from .geometry import Molecule, min_distance
+from .geometry import Molecule, random_coords
 from .model import GeoTModel, checkpoint_bytes
 
 # ---------------------------------------------------------------------------
@@ -78,14 +78,14 @@ def composite_loss(e_label: float, e_hat: ad.Tensor, de_dr_label: np.ndarray,
 
 
 def molecule_loss(model: GeoTModel, mol: Molecule, cfg: TrainConfig) -> ad.Tensor:
+    if mol.energy is None:
+        raise DataError("molecule has no energy label")
     e_hat, coords = model.forward_parts(mol)
     if cfg.use_forces and mol.forces is not None:
         # dataset forces are physical (F = -grad E); the loss compares
         # energy gradients, so flip the sign of the label
         return composite_loss(mol.energy, e_hat, -mol.forces, coords,
                               cfg.force_weight)
-    if mol.energy is None:
-        raise DataError("molecule has no energy label")
     return ad.absolute(ad.sub(e_hat, mol.energy))
 
 
@@ -183,45 +183,33 @@ def morse_energy_forces(numbers: np.ndarray, coords: np.ndarray,
     return float(energy), forces
 
 
-def _place_atoms(rng: np.random.Generator, n: int, spec: SyntheticSpec) -> np.ndarray:
-    """Atoms placed one at a time, each redrawn until it keeps the minimum
-    distance from those already placed; dense molecules need this."""
-    coords = np.empty((n, 3))
-    for i in range(n):
-        for _ in range(1000):
-            c = rng.uniform(0.0, spec.box, 3)
-            if i == 0 or np.min(np.linalg.norm(coords[:i] - c, axis=1)) >= spec.min_distance:
-                coords[i] = c
-                break
-        else:
-            raise DataError("could not place atoms with the minimum distance; "
-                            "increase the box or reduce the atom count")
-    return coords
-
-
 def generate_synthetic(spec: SyntheticSpec, seed: int = 0) -> Dataset:
-    """Random small molecules with exactly consistent Morse labels.  Each
-    molecule is drawn whole up to 200 times, then atom by atom."""
+    """Random small molecules with exactly consistent Morse labels."""
     rng = np.random.default_rng(seed)
     mols = []
     for _ in range(spec.n_molecules):
         n = int(rng.integers(spec.min_atoms, spec.max_atoms + 1))
         numbers = rng.choice(spec.elements, size=n)
-        coords = None
-        for _attempt in range(200):
-            cand = rng.uniform(0.0, spec.box, size=(n, 3))
-            if min_distance(cand) >= spec.min_distance:
-                coords = cand
-                break
-        if coords is None:
-            coords = _place_atoms(rng, n, spec)
+        coords = random_coords(rng, n, spec.box, spec.min_distance)
         energy, forces = morse_energy_forces(numbers, coords, spec.pair_params)
         mols.append(Molecule(numbers, coords, energy=energy, forces=forces))
-    return Dataset(molecules=mols, target_name="morse_energy", units="arb")
+    return Dataset(molecules=mols, target_name="morse_energy")
 
 
 # ---------------------------------------------------------------------------
 # evaluation and the training loop
+
+
+def training_splits(dataset: Dataset) -> list:
+    """[train molecules, val molecules]; refuses an empty split (``ConfigError``)
+    and a molecule without an energy label, by its index in the data (``DataError``)."""
+    for split in ("train", "val"):
+        if not dataset.subset(split):
+            raise ConfigError(f"the {split} split is empty")
+        for i in dataset.splits[split]:
+            if dataset.molecules[i].energy is None:
+                raise DataError(f"{split} split: molecule {i} has no energy label")
+    return [dataset.subset("train"), dataset.subset("val")]
 
 
 def energy_mae(model: GeoTModel, molecules) -> float:
@@ -256,10 +244,7 @@ def train(model: GeoTModel, dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     activation), the parameters are those from before the failing step.  If
     it arose in a validation pass after step ``steps_run``, the parameters
     are those that step produced, i.e. the ones that failed validation."""
-    train_mols = dataset.subset("train")
-    val_mols = dataset.subset("val")
-    if not train_mols:
-        raise ConfigError("empty training set")
+    train_mols, val_mols = training_splits(dataset)
 
     params = model.params()
     opt = Adam(params)

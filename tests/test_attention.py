@@ -3,9 +3,8 @@ import pytest
 
 from geoattn import autodiff as ad
 from geoattn.attention import (AttentionParams, AttentionRecord, attn_scale,
-                               dump_attention_norms, format_attention_csv,
-                               geo_attention_logits, geo_msa,
-                               init_attention_params, qkv_project)
+                               format_attention_csv, geo_attention_logits,
+                               geo_msa, init_attention_params, qkv_project)
 from geoattn.errors import ConfigError, UsageError
 from geoattn.model import ModelConfig
 from conftest import numeric_grad, rel_err
@@ -236,22 +235,21 @@ class TestGeoMSA:
 class TestAttentionDump:
     def test_single_head_is_abs(self, rng):
         logits = rng.uniform(-1, 1, (3, 3, 1))
-        rec = AttentionRecord(layer=0, logits=logits)
+        rec = AttentionRecord(logits)
         np.testing.assert_array_equal(rec.norm_map(), np.abs(logits[:, :, 0]))
 
     def test_opposite_heads_average_magnitudes(self, rng):
         a = rng.uniform(-1, 1, (3, 3))
-        rec = AttentionRecord(layer=0, logits=np.stack([a, -a], axis=2))
+        rec = AttentionRecord(np.stack([a, -a], axis=2))
         np.testing.assert_allclose(rec.norm_map(), np.abs(a), atol=1e-15)
 
     def test_empty_trace_is_usage_error(self):
         with pytest.raises(UsageError):
-            dump_attention_norms([])
+            format_attention_csv([])
 
     def test_csv_roundtrip_bit_exact(self, rng):
-        records = [AttentionRecord(layer=l, logits=rng.uniform(-1, 1, (3, 3, 2)))
-                   for l in range(2)]
+        records = [AttentionRecord(rng.uniform(-1, 1, (3, 3, 2))) for _ in range(2)]
         text = format_attention_csv(records)
         parsed = parse_attention_csv(text)
-        for rec in records:
-            np.testing.assert_array_equal(parsed[rec.layer], rec.norm_map())
+        for layer, rec in enumerate(records):
+            np.testing.assert_array_equal(parsed[layer], rec.norm_map())

@@ -208,6 +208,26 @@ class TestExitCodes:
         assert "error: line 21: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("normalize", ["true", "false"])
+    def test_unlabeled_training_frame_is_data_error(self, tiny_run, normalize, capsys):
+        # forces but no energy= label: the sixth frame is molecule 5 of the data
+        cfg, tmp_path = tiny_run
+        xyz = self.bad_sixth_frame(tmp_path, "\nH 0 0 0 0 0 1\nH 1 0 0 0 0 -1")
+        assert main(["train", str(cfg), f"--data_path={xyz}",
+                     f"--normalize_targets={normalize}"]) == 2
+        assert "error: train split: molecule 5 has no energy label" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate-basis"])
+    @pytest.mark.parametrize("split, args", [
+        ("val", ["--synthetic_molecules=5"]),
+        ("train", ["--train_fraction=0", "--val_fraction=0.5", "--test_fraction=0.5"])])
+    def test_empty_split_is_refused(self, tiny_run, command, split, args, capsys):
+        cfg, tmp_path = tiny_run
+        assert main([command, str(cfg), *args]) == 2
+        assert f"error: the {split} split is empty" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @staticmethod
     def bad_sixth_frame(tmp_path, frame):
         """Ten 4-line frames; the sixth (first line 21) is ``frame``."""

@@ -6,7 +6,9 @@ from geoattn.errors import ConfigError, DataError
 from geoattn.geometry import (BasisConfig, KernelParams, Molecule,
                               bessel_basis, distance_matrix, gaussian_basis,
                               init_kernel_params, kernel_tensor, linear_basis,
-                              min_distance, pair_geometry, pairwise_distances)
+                              min_distance, pair_geometry, pairwise_distances,
+                              random_coords)
+from geoattn.gradcheck import random_molecule
 from geoattn.model import GeoTModel, ModelConfig
 from conftest import numeric_grad, rel_err
 
@@ -208,6 +210,27 @@ class TestMinDistance:
         coords = rng.uniform(-3, 3, (n, 3))
         off = ~np.eye(n, dtype=bool)
         assert min_distance(coords) == np.min(distance_matrix(coords)[off])
+
+
+class TestRandomCoords:
+    def test_first_whole_draw_that_passes_is_returned(self):
+        coords = random_coords(np.random.default_rng(4), 6, 4.0, 0.0)
+        np.testing.assert_array_equal(coords,
+                                      np.random.default_rng(4).uniform(0.0, 4.0, (6, 3)))
+
+    def test_dense_molecule_placed_atom_by_atom(self):
+        # 64 atoms 0.8 apart in a 5.0 box: no whole draw comes near (their
+        # minimum distance stays below 0.6 in 2000 tries)
+        coords = random_coords(np.random.default_rng(0), 64, 5.0, 0.8)
+        assert coords.shape == (64, 3)
+        assert min_distance(coords) >= 0.8
+        assert np.all((coords >= 0.0) & (coords < 5.0))
+
+    def test_impossible_packing_is_data_error(self):
+        with pytest.raises(DataError, match="could not place atoms"):
+            random_coords(np.random.default_rng(0), 8, 1.0, 2.0)
+        with pytest.raises(DataError, match="could not place atoms"):
+            random_molecule(np.random.default_rng(0), 8, box=1.0, min_distance=2.0)
 
 
 class TestGaussianBasis:

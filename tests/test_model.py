@@ -107,8 +107,12 @@ class TestBlockVariants:
     def test_layer_norm_count(self):
         seq = GeoTModel.init(small_config(block_kind="sequential"), seed=0)
         par = GeoTModel.init(small_config(block_kind="parallel_mlp"), seed=0)
-        assert len(seq.layers[0].ln_gains) == 2
-        assert len(par.layers[0].ln_gains) == 1
+        def n_ln(model):
+            return sum(name.startswith("layer0.ln") and name.endswith("_gain")
+                       for name in model.params())
+        assert n_ln(seq) == 2
+        assert n_ln(par) == 1
+        assert par.layers[0].ln1_gain is None and par.layers[0].ln1_bias is None
 
     def test_softmax_baseline_runs(self, rng):
         model = GeoTModel.init(small_config(use_softmax_baseline=True), seed=0)
@@ -249,12 +253,36 @@ class TestAttentionTrace:
         mol = random_molecule(rng, n=4)
         trace = []
         model.forward_parts(mol, trace=trace)
-        assert [rec.layer for rec in trace] == [0, 1]
+        assert len(trace) == cfg.n_layers == 2
         for rec in trace:
             assert rec.logits.shape == (4, 4, cfg.n_heads)
 
 
+ATTN_KERNEL_NAMES = ["layer0.attn.wq", "layer0.attn.wk", "layer0.attn.wv",
+                     "layer0.attn.w_a", "layer0.kernel.w1", "layer0.kernel.b1",
+                     "layer0.kernel.w2", "layer0.kernel.b2"]
+FFN_LN0_NAMES = ["layer0.ffn_w1", "layer0.ffn_b1", "layer0.ffn_w2", "layer0.ffn_b2",
+                 "layer0.ln0_gain", "layer0.ln0_bias"]
+
+
 class TestCheckpoints:
+    # the checkpoint names, in archive order; a renamed or dropped field fails here
+    @pytest.mark.parametrize("over, names", [
+        (dict(block_kind="sequential", kernel_mode="atom_aware",
+              basis=BasisConfig(kind="linear", n_basis=8)),
+         ["atom_embedding", *ATTN_KERNEL_NAMES, "layer0.kernel.embed", "layer0.kernel.lin_a",
+          "layer0.kernel.lin_b", *FFN_LN0_NAMES, "layer0.ln1_gain", "layer0.ln1_bias",
+          "w_pool", "b_out"]),
+        (dict(block_kind="parallel_mlp", kernel_mode="plain",
+              basis=BasisConfig(kind="gaussian", n_basis=8)),
+         ["atom_embedding", *ATTN_KERNEL_NAMES, *FFN_LN0_NAMES, "w_pool", "b_out"]),
+    ], ids=["sequential_atom_aware_linear", "parallel_plain_gaussian"])
+    def test_parameter_names_pinned(self, over, names):
+        model = GeoTModel.init(small_config(n_layers=1, **over), seed=0)
+        assert list(model.params()) == names
+        with np.load(io.BytesIO(checkpoint_bytes(model))) as blob:
+            assert blob.files == ["__config__"] + [f"param:{n}" for n in names]
+
     def test_roundtrip_bit_exact(self, rng, tmp_path):
         model = GeoTModel.init(small_config(use_attn_scale=True), seed=3)
         model.config.out_shift = -1.25

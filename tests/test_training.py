@@ -132,6 +132,12 @@ class TestLosses:
         with pytest.raises(DataError):
             molecule_loss(model, mol, TrainConfig(use_forces=False))
 
+    def test_unlabeled_molecule_with_forces_rejected(self):
+        # the force branch checks the energy label too, instead of subtracting None
+        mol = Molecule([1, 1], [[0, 0, 0], [1, 0, 0]], forces=np.zeros((2, 3)))
+        with pytest.raises(DataError, match="no energy label"):
+            molecule_loss(tiny_model(), mol, TrainConfig(use_forces=True))
+
 
 class TestAdam:
     def test_first_step_magnitude(self, rng):
@@ -353,6 +359,21 @@ class TestTrainLoop:
         assert after
         for k, t in model.params().items():
             np.testing.assert_array_equal(t.data, after[k])
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_empty_split_names_it(self, split):
+        ds = tiny_dataset()
+        ds.splits[split] = np.array([], dtype=int)
+        with pytest.raises(ConfigError, match=f"the {split} split is empty"):
+            train(tiny_model(), ds, TrainConfig())
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_unlabeled_molecule_names_split_and_index(self, split):
+        ds = tiny_dataset()
+        i = int(ds.splits[split][0])
+        ds.molecules[i].energy = None
+        with pytest.raises(DataError, match=f"{split} split: molecule {i} has no energy label"):
+            train(tiny_model(), ds, TrainConfig())
 
     def test_energy_mae_empty(self):
         with pytest.raises(ConfigError):
