@@ -41,13 +41,13 @@ class AttentionParams:
     w_a: ad.Tensor   # AttnScale amplification, scalar per layer
 
 
-def init_attention_params(rng: np.random.Generator, d_m: int) -> AttentionParams:
-    from .geometry import glorot
+def init_attention_params(rng: np.random.Generator | None, d_m: int) -> AttentionParams:
+    from .geometry import glorot, param
     return AttentionParams(
-        wq=ad.parameter(glorot(rng, d_m, d_m)),
-        wk=ad.parameter(glorot(rng, d_m, d_m)),
-        wv=ad.parameter(glorot(rng, d_m, d_m)),
-        w_a=ad.parameter(np.zeros(())),
+        wq=glorot(rng, d_m, d_m),
+        wk=glorot(rng, d_m, d_m),
+        wv=glorot(rng, d_m, d_m),
+        w_a=param(rng, ()),
     )
 
 

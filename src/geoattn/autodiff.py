@@ -384,17 +384,20 @@ def cos(a) -> Tensor:
     return _node(np.cos(a.data), [a], [lambda g: neg(mul(g, sin(a)))])
 
 
-def sigmoid(a) -> Tensor:
-    a = _coerce(a)
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     # stable in both tails: 1 / (1 + e) for x >= 0 and e / (1 + e) below, with
     # e = exp(-|x|); since 0 <= e <= 1 the numerator is max(e, x >= 0), which
     # needs no masked store (slow on random signs)
-    e = np.abs(a.data, out=np.empty_like(a.data))
+    e = np.abs(x, out=np.empty_like(x))
     np.exp(np.negative(e, out=e), out=e)
     den = 1.0 + e
-    np.maximum(e, a.data >= 0, out=e)
-    data = np.divide(e, den, out=e)
-    return _with_output_vjp(_node(data, [a], [None]),
+    np.maximum(e, x >= 0, out=e)
+    return np.divide(e, den, out=e)
+
+
+def sigmoid(a) -> Tensor:
+    a = _coerce(a)
+    return _with_output_vjp(_node(_sigmoid(a.data), [a], [None]),
                             lambda g, out: mul(g, mul(out, sub(1.0, out))))
 
 
@@ -504,9 +507,83 @@ def einsum(spec: str, *operands) -> Tensor:
 # ---------------------------------------------------------------------------
 # composite layers
 
+def _swish_back(g, a: Tensor, s: np.ndarray) -> Tensor:
+    """The vjp of :func:`swish` into ``a``, as one node:
+    g·s + (g·a)·(s·(1 − s)), the summed vjps of the composite a·sigmoid(a)
+    in their op order.  ``s`` is the array sigmoid(a)."""
+    g = _coerce(g)
+    data = g.data * s
+    data += (g.data * a.data) * (s * (1.0 - s))
+
+    def back_a(h):
+        # g·p·(2 + a·(1 − 2s)) with p = s·(1 − s), times h
+        if not _RECORDING:      # the composite below, on arrays, bit for bit
+            p = s * (1.0 - s)
+            return Tensor((h.data * g.data) * (p * (a.data * (1.0 - s * 2.0) + 2.0)))
+        st = sigmoid(a)
+        p = mul(st, sub(1.0, st))
+        return mul(mul(h, g), mul(p, add(mul(a, sub(1.0, mul(st, 2.0))), 2.0)))
+
+    # the map g -> out is diagonal, so its vjp is the node itself
+    return _node(data, [g, a], [lambda h: _swish_back(h, a, s), back_a])
+
+
 def swish(a) -> Tensor:
+    """a·sigmoid(a) as one node, with the bits of that composite."""
     a = _coerce(a)
-    return mul(a, sigmoid(a))
+    s = _sigmoid(a.data)
+    return _node(a.data * s, [a], [lambda g: _swish_back(g, a, s)])
+
+
+def _gaussian_back(g, r: Tensor, out: Tensor, centers: np.ndarray, gamma: float) -> Tensor:
+    """The vjp of :func:`gaussian` into ``r``, as one node: the sum over the
+    last axis of g·out·(−γ)·(2(r − c)), the vjps of the composite
+    exp(mul(square(sub(r, c)), −γ)) in their op order.  ``out`` is the
+    gaussian node of ``r``."""
+    g = _coerce(g)
+    t = g.data * out.data
+    t *= -gamma
+    d = r.data[..., None] - centers
+    d *= 2.0
+    t *= d
+    data = t.sum(axis=-1)
+
+    def back_g(h):
+        # h·out·(−2γ(r − c)), h on a new last axis
+        if not _RECORDING:      # the composite below, on arrays, bit for bit
+            dc = (r.data[..., None] - centers) * (-2.0 * gamma)
+            return Tensor((h.data[..., None] * out.data) * dc)
+        dc = mul(sub(reshape(r, r.shape + (1,)), centers), -2.0 * gamma)
+        return mul(mul(reshape(h, h.shape + (1,)), out), dc)
+
+    def back_r(h):
+        # h·(−2γ)·Σ g·out·(1 − 2γ(r − c)²)
+        if not _RECORDING:      # the composite below, on arrays, bit for bit
+            d = r.data[..., None] - centers
+            inner = ((g.data * out.data) * (1.0 - (d * d) * (2.0 * gamma))).sum(axis=-1)
+            return Tensor((h.data * inner) * (-2.0 * gamma))
+        d = sub(reshape(r, r.shape + (1,)), centers)
+        inner = tensor_sum(mul(mul(g, out), sub(1.0, mul(square(d), 2.0 * gamma))), axis=-1)
+        return mul(mul(h, inner), -2.0 * gamma)
+
+    return _node(data, [g, r], [back_g, back_r])
+
+
+def gaussian(r, centers, gamma: float) -> Tensor:
+    """exp(−γ·(r − c)²) for each of the ``centers`` c, on a new last axis,
+    as one node.  The values are those of the composite
+    exp(mul(square(sub(r, c)), −γ)) bit for bit, subnormals flushed to 0 as
+    :func:`exp` does."""
+    r = _coerce(r)
+    centers, gamma = _as_array(centers), float(gamma)
+    data = r.data[..., None] - centers
+    data *= data
+    data *= -gamma
+    np.exp(data, out=data)
+    _check_finite(data, "gaussian")
+    data[data < _TINY] = 0.0
+    return _with_output_vjp(_node(data, [r], [None]),
+                            lambda g, out: _gaussian_back(g, r, out, centers, gamma))
 
 
 def softmax(a, axis: int = -1) -> Tensor:

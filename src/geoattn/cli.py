@@ -112,28 +112,26 @@ def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     with open(args.data) as fh:
         mols = parse_xyz_frames(fh.read())
-    labeled = [m for m in mols if m.energy is not None]
-    if not labeled:
-        raise UsageError("no labeled molecules to evaluate")
-    energy_errs, force_errs = [], []
-    for m in labeled:
-        if m.forces is None:
-            energy = model.energy(m)
-        else:
+    errors = {"energy": [], "forces": []}      # one entry per labeled frame
+    for m in mols:
+        if m.forces is not None:
             energy, pred = model.energy_and_forces(m)
             if model.config.force_sign == "paper":
                 pred = -pred     # labels are physical forces
-            force_errs.append(np.mean(np.abs(pred - m.forces)))
-        energy_errs.append(abs(energy - m.energy))
-    rows = [("energy", float(np.mean(energy_errs)))]
-    if force_errs:
-        rows.append(("forces", float(np.mean(force_errs))))
-    lines = ["target,mae"] + [f"{t},{v:.17g}" for t, v in rows]
+            errors["forces"].append(np.mean(np.abs(pred - m.forces)))
+        elif m.energy is not None:
+            energy = model.energy(m)
+        if m.energy is not None:
+            errors["energy"].append(abs(energy - m.energy))
+    rows = [(t, float(np.mean(errs)), len(errs)) for t, errs in errors.items() if errs]
+    if not rows:
+        raise UsageError("no labeled molecules to evaluate")
+    lines = ["target,mae"] + [f"{t},{v:.17g}" for t, v, _ in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)
-    for t, v in rows:
-        print(f"MAE[{t}] = {v:.8g}")
+    for t, v, n in rows:
+        print(f"MAE[{t}] = {v:.8g} over {n} of {len(mols)} frames")
     return 0
 
 

@@ -122,9 +122,7 @@ def pairwise_distances(coords: ad.Tensor, pairs: ad.PairIndex) -> ad.Tensor:
 
 def gaussian_basis(r: ad.Tensor, cfg: BasisConfig) -> ad.Tensor:
     """exp(-gamma * (r - delta*k)^2) for k = 1..n_basis, appended as last axis."""
-    centers = cfg.delta * np.arange(1, cfg.n_basis + 1)
-    rx = ad.reshape(r, r.shape + (1,))
-    return ad.exp(ad.mul(ad.square(ad.sub(rx, centers)), -cfg.gamma))
+    return ad.gaussian(r, cfg.delta * np.arange(1, cfg.n_basis + 1), cfg.gamma)
 
 
 def linear_basis(r: ad.Tensor, a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
@@ -161,29 +159,39 @@ class KernelParams:
     lin_b: ad.Tensor | None = None
 
 
-def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+def param(rng: np.random.Generator | None, shape, draw=np.zeros) -> ad.Tensor:
+    """A parameter leaf with the array ``draw(shape)``.  Without an ``rng``
+    it is a placeholder that holds only its shape, for a checkpoint to fill:
+    nothing is drawn or allocated."""
+    if rng is None:
+        return ad.Tensor(np.broadcast_to(0.0, shape), requires_grad=True)
+    return ad.parameter(draw(shape))
+
+
+def glorot(rng: np.random.Generator | None, fan_in: int, fan_out: int) -> ad.Tensor:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    return param(rng, (fan_in, fan_out), lambda s: rng.uniform(-limit, limit, size=s))
 
 
-def init_kernel_params(rng: np.random.Generator, cfg: BasisConfig, d_m: int, *,
+def init_kernel_params(rng: np.random.Generator | None, cfg: BasisConfig, d_m: int, *,
                        mode: str, d_rbf: int, d_emb2: int) -> KernelParams:
     if mode not in ("plain", "atom_aware"):
         raise ConfigError(f"unknown kernel mode {mode!r}")
     in_dim = cfg.n_basis + (d_emb2 if mode == "atom_aware" else 0)
     embed = None
     if mode == "atom_aware":
-        embed = ad.parameter(rng.normal(0.0, 1.0 / np.sqrt(d_emb2),
-                                        size=(MAX_ATOMIC_NUMBER + 1, d_emb2)))
+        std = 1.0 / np.sqrt(d_emb2)
+        embed = param(rng, (MAX_ATOMIC_NUMBER + 1, d_emb2),
+                      lambda s: rng.normal(0.0, std, size=s))
     lin_a = lin_b = None
     if cfg.kind == "linear":
-        lin_a = ad.parameter(rng.uniform(-1.0, 1.0, size=cfg.n_basis))
-        lin_b = ad.parameter(rng.uniform(-1.0, 1.0, size=cfg.n_basis))
+        lin_a = param(rng, cfg.n_basis, lambda s: rng.uniform(-1.0, 1.0, size=s))
+        lin_b = param(rng, cfg.n_basis, lambda s: rng.uniform(-1.0, 1.0, size=s))
     return KernelParams(
-        w1=ad.parameter(glorot(rng, in_dim, d_rbf)),
-        b1=ad.parameter(np.zeros(d_rbf)),
-        w2=ad.parameter(glorot(rng, d_rbf, d_m)),
-        b2=ad.parameter(np.zeros(d_m)),
+        w1=glorot(rng, in_dim, d_rbf),
+        b1=param(rng, d_rbf),
+        w2=glorot(rng, d_rbf, d_m),
+        b2=param(rng, d_m),
         embed=embed, lin_a=lin_a, lin_b=lin_b,
     )
 

@@ -24,7 +24,7 @@ from .attention import (AttentionParams, AttentionRecord, geo_msa,
 from .errors import ConfigError, DataError
 from .geometry import (MAX_ATOMIC_NUMBER, BasisConfig, KernelParams, Molecule,
                        glorot, init_kernel_params, kernel_tensor,
-                       pair_geometry, pairwise_distances)
+                       pair_geometry, pairwise_distances, param)
 
 
 @dataclass
@@ -122,10 +122,16 @@ class GeoTModel:
 
     @classmethod
     def init(cls, config: ModelConfig, seed: int = 0) -> "GeoTModel":
-        rng = np.random.default_rng(seed)
+        return cls._build(config, np.random.default_rng(seed))
+
+    @classmethod
+    def _build(cls, config: ModelConfig, rng: np.random.Generator | None) -> "GeoTModel":
+        """Parameters drawn from ``rng``, or shape-only placeholders without
+        it (see :func:`geometry.param`)."""
         d_m = config.d_m
-        embedding = ad.parameter(rng.normal(0.0, 1.0 / np.sqrt(d_m),
-                                            size=(MAX_ATOMIC_NUMBER + 1, d_m)))
+        std = 1.0 / np.sqrt(d_m)
+        embedding = param(rng, (MAX_ATOMIC_NUMBER + 1, d_m),
+                          lambda s: rng.normal(0.0, std, size=s))
         seq = config.block_kind == "sequential"
         layers = []
         for _ in range(config.n_layers):
@@ -134,18 +140,16 @@ class GeoTModel:
                 kernel=init_kernel_params(rng, config.basis, d_m,
                                           mode=config.kernel_mode,
                                           d_rbf=config.d_rbf, d_emb2=config.d_emb2),
-                ffn_w1=ad.parameter(glorot(rng, d_m, config.d_h)),
-                ffn_b1=ad.parameter(np.zeros(config.d_h)),
-                ffn_w2=ad.parameter(glorot(rng, config.d_h, d_m)),
-                ffn_b2=ad.parameter(np.zeros(d_m)),
-                ln0_gain=ad.parameter(np.ones(d_m)),
-                ln0_bias=ad.parameter(np.zeros(d_m)),
-                ln1_gain=ad.parameter(np.ones(d_m)) if seq else None,
-                ln1_bias=ad.parameter(np.zeros(d_m)) if seq else None,
+                ffn_w1=glorot(rng, d_m, config.d_h),
+                ffn_b1=param(rng, config.d_h),
+                ffn_w2=glorot(rng, config.d_h, d_m),
+                ffn_b2=param(rng, d_m),
+                ln0_gain=param(rng, d_m, np.ones),
+                ln0_bias=param(rng, d_m),
+                ln1_gain=param(rng, d_m, np.ones) if seq else None,
+                ln1_bias=param(rng, d_m) if seq else None,
             ))
-        w_pool = ad.parameter(glorot(rng, d_m, 1))
-        b_out = ad.parameter(np.zeros(()))
-        return cls(config, layers, embedding, w_pool, b_out)
+        return cls(config, layers, embedding, glorot(rng, d_m, 1), param(rng, ()))
 
     # -- parameters ---------------------------------------------------------
 
@@ -265,7 +269,7 @@ def load_checkpoint(path) -> GeoTModel:
         _check_fields(ModelConfig, fields, "config")
         _check_fields(BasisConfig, fields["basis"], "basis config")
         config = ModelConfig(**fields)
-        model = GeoTModel.init(config, seed=0)
+        model = GeoTModel._build(config, None)      # every parameter filled below
         params = model.params()
         names = [key[len("param:"):] for key in blob.files if key.startswith("param:")]
         missing = sorted(set(params) - set(names))

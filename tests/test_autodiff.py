@@ -313,6 +313,182 @@ class TestLayerNorm:
             assert rel_err(g.data, n) < 1e-6
 
 
+def assert_same_bits(a, b):
+    np.testing.assert_array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+def value_and_grad(op, x, g):
+    """op(x) and the gradient of sum(op(x)·g) w.r.t. x, without a graph."""
+    leaf = ad.Tensor(x, requires_grad=True)     # parameter() refuses NaN
+    out = op(leaf)
+    (got,) = ad.grad(ad.tensor_sum(ad.mul(out, g)), [leaf], create_graph=False)
+    return out.data, got.data
+
+
+class TestSwish:
+    @staticmethod
+    def composite(a):
+        return ad.mul(a, ad.sigmoid(a))
+
+    @pytest.mark.parametrize("kind", ["special", "block"])
+    def test_value_and_gradient_are_bitwise_composite(self, rng, kind):
+        x = {"special": np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e4, -1e4, 1.5, -1.5]),
+             "block": rng.normal(size=(3240, 64)) * 10}[kind]
+        g = rng.normal(size=x.shape)
+        with np.errstate(invalid="ignore"):
+            fused = value_and_grad(ad.swish, x, g)
+            plain = value_and_grad(self.composite, x, g)
+        for a, b in zip(fused, plain):
+            assert_same_bits(a, b)
+
+    def test_one_node_with_a_one_node_gradient(self, rng):
+        x = ad.parameter(rng.normal(size=(5, 3)))
+        out = ad.swish(x)
+        assert out.parents == (x,)
+        (gx,) = ad.grad(ad.tensor_sum(ad.mul(out, rng.normal(size=(5, 3)))), [x])
+        assert gx.parents[1] is x and len(tracked_nodes(gx)) == 2
+
+    def test_double_backward_vs_finite_differences(self, rng):
+        # d/d(x, w) of |d/dx f|^2 + |d/dw f|^2 with f = sum(sin(swish(x)·w))
+        x, w = rng.uniform(-3, 3, (3, 4)), rng.uniform(0.5, 1.5, 4)
+
+        def outer(xs, ws):
+            xt, wt = ad.parameter(xs), ad.parameter(ws)
+            f = ad.tensor_sum(ad.sin(ad.mul(ad.swish(xt), wt)))
+            gx, gw = ad.grad(f, [xt, wt], create_graph=True)
+            return ad.add(ad.tensor_sum(ad.square(gx)), ad.tensor_sum(ad.square(gw))), [xt, wt]
+
+        loss, leaves = outer(x, w)
+        grads = ad.grad(loss, leaves)
+        numeric = numeric_grad(lambda xs, ws: outer(xs, ws)[0].item(), [x, w])
+        for g, n in zip(grads, numeric):
+            assert rel_err(g.data, n) < 1e-6
+
+    def test_third_order_vs_finite_differences(self, rng):
+        # d/d(x, w) of |g2|^2 with g2 = d/dx sum(cos(d/dx sum(sin(swish(x)·w))))
+        x, w = rng.uniform(-3, 3, (3, 4)), rng.uniform(0.5, 1.5, 4)
+
+        def outer(xs, ws):
+            xt, wt = ad.parameter(xs), ad.parameter(ws)
+            f = ad.tensor_sum(ad.sin(ad.mul(ad.swish(xt), wt)))
+            (g1,) = ad.grad(f, [xt], create_graph=True)
+            (g2,) = ad.grad(ad.tensor_sum(ad.cos(g1)), [xt], create_graph=True)
+            return ad.tensor_sum(ad.square(g2)), [xt, wt]
+
+        loss, leaves = outer(x, w)
+        grads = ad.grad(loss, leaves)
+        numeric = numeric_grad(lambda xs, ws: outer(xs, ws)[0].item(), [x, w])
+        for g, n in zip(grads, numeric):
+            assert rel_err(g.data, n) < 1e-6
+
+    def test_no_graph_double_backward_is_bitwise_recorded(self, rng):
+        # a gradient norm inside the loss, as with forces: the parameter
+        # sweep runs both vjps of swish's own vjp node
+        x = ad.parameter(rng.uniform(-3, 3, (6, 5)))
+        w = ad.parameter(rng.uniform(0.5, 1.5, 5))
+        v = ad.parameter(rng.uniform(-1, 1, 5))
+        f = ad.tensor_sum(ad.sin(ad.mul(ad.swish(ad.mul(x, w)), v)))
+        (gx,) = ad.grad(f, [x], create_graph=True)
+        loss = ad.add(f, ad.tensor_sum(ad.square(gx)))
+        plain = ad.grad(loss, [x, w, v], create_graph=False)
+        tracked = ad.grad(loss, [x, w, v], create_graph=True)
+        for a, b in zip(plain, tracked):
+            assert not a.requires_grad
+            np.testing.assert_array_equal(a.data, b.data)
+
+
+class TestGaussian:
+    # the default basis: 64 centers 0.1 apart, width 10
+    centers, gamma = 0.1 * np.arange(1, 65), 10.0
+
+    @classmethod
+    def composite(cls, r):
+        rx = ad.reshape(r, r.shape + (1,))
+        return ad.exp(ad.mul(ad.square(ad.sub(rx, cls.centers)), -cls.gamma))
+
+    def fused(self, r):
+        return ad.gaussian(r, self.centers, self.gamma)
+
+    @pytest.mark.parametrize("kind", ["special", "block", "vector", "scalar"])
+    def test_value_and_gradient_are_bitwise_composite(self, rng, kind):
+        # the block reaches the subnormal range that exp flushes to 0
+        r = {"special": np.array([0.0, -0.0, np.inf, -np.inf, 1e4, -1e4, 0.35, 3.2, 9.0]),
+             "block": rng.normal(size=3240) * 4,
+             "vector": np.array([0.0, 0.73, 2.5, 11.0]),
+             "scalar": np.array(0.42)}[kind]
+        g = rng.normal(size=r.shape + (64,))
+        with np.errstate(invalid="ignore"):     # the gradient at r = ±inf is NaN
+            fused = value_and_grad(self.fused, r, g)
+            plain = value_and_grad(self.composite, r, g)
+        for a, b in zip(fused, plain):
+            assert a.shape == b.shape
+            assert_same_bits(a, b)
+
+    def test_nan_is_refused_like_the_composite(self):
+        r = ad.constant([0.5, np.nan])
+        for op in (self.fused, self.composite):
+            with np.errstate(invalid="ignore"), pytest.raises(ad.NonFiniteError):
+                op(r)
+
+    def test_one_node_with_a_one_node_gradient(self, rng):
+        r = ad.parameter(rng.uniform(0.5, 3.0, 7))
+        out = self.fused(r)
+        assert out.parents == (r,)
+        (gr,) = ad.grad(ad.tensor_sum(ad.mul(out, rng.normal(size=(7, 64)))), [r])
+        assert gr.parents[1] is r and len(tracked_nodes(gr)) == 2
+
+    # few, wide Gaussians keep the finite differences well conditioned
+    small = dict(centers=np.array([0.2, 0.5, 0.8, 1.1]), gamma=4.0)
+
+    def test_double_backward_vs_finite_differences(self, rng):
+        # d/d(r, w) of |d/dr f|^2 + |d/dw f|^2 with f = sum(sin(gaussian(r)·w))
+        r, w = rng.uniform(0.1, 1.2, 5), rng.uniform(0.5, 1.5, 4)
+
+        def outer(rs, ws):
+            rt, wt = ad.parameter(rs), ad.parameter(ws)
+            f = ad.tensor_sum(ad.sin(ad.mul(ad.gaussian(rt, **self.small), wt)))
+            gr, gw = ad.grad(f, [rt, wt], create_graph=True)
+            return ad.add(ad.tensor_sum(ad.square(gr)), ad.tensor_sum(ad.square(gw))), [rt, wt]
+
+        loss, leaves = outer(r, w)
+        grads = ad.grad(loss, leaves)
+        numeric = numeric_grad(lambda rs, ws: outer(rs, ws)[0].item(), [r, w])
+        for g, n in zip(grads, numeric):
+            assert rel_err(g.data, n) < 1e-6
+
+    def test_third_order_vs_finite_differences(self, rng):
+        # d/d(r, w) of |g2|^2 with g2 = d/dr sum(cos(d/dr sum(sin(gaussian(r)·w))))
+        r, w = rng.uniform(0.1, 1.2, 5), rng.uniform(0.5, 1.5, 4)
+
+        def outer(rs, ws):
+            rt, wt = ad.parameter(rs), ad.parameter(ws)
+            f = ad.tensor_sum(ad.sin(ad.mul(ad.gaussian(rt, **self.small), wt)))
+            (g1,) = ad.grad(f, [rt], create_graph=True)
+            (g2,) = ad.grad(ad.tensor_sum(ad.cos(g1)), [rt], create_graph=True)
+            return ad.tensor_sum(ad.square(g2)), [rt, wt]
+
+        loss, leaves = outer(r, w)
+        grads = ad.grad(loss, leaves)
+        numeric = numeric_grad(lambda rs, ws: outer(rs, ws)[0].item(), [r, w])
+        for g, n in zip(grads, numeric):
+            assert rel_err(g.data, n) < 1e-6
+
+    def test_no_graph_double_backward_is_bitwise_recorded(self, rng):
+        # forces in the loss: the parameter sweep runs both vjps of the
+        # basis's own vjp node, into the distances and into its gradient
+        x = ad.parameter(rng.uniform(0.2, 2.0, 9))
+        w = ad.parameter(rng.uniform(0.5, 1.5, 9))
+        v = ad.parameter(rng.uniform(-1, 1, 64))
+        f = ad.tensor_sum(ad.sin(ad.mul(self.fused(ad.mul(x, w)), v)))
+        (gx,) = ad.grad(f, [x], create_graph=True)
+        loss = ad.add(f, ad.tensor_sum(ad.square(gx)))
+        plain = ad.grad(loss, [x, w, v], create_graph=False)
+        tracked = ad.grad(loss, [x, w, v], create_graph=True)
+        for a, b in zip(plain, tracked):
+            assert not a.requires_grad
+            np.testing.assert_array_equal(a.data, b.data)
+
+
 class TestSoftmax:
     def test_uniform(self):
         out = ad.softmax(ad.constant(np.full((2, 4), 1.7)))

@@ -371,6 +371,33 @@ class TestEvalCommand:
         assert e_mae == pytest.approx(abs(model.energy(mol) - mol.energy),
                                       rel=1e-10)
 
+    def test_force_only_frames_are_scored(self, tiny_run, capsys):
+        # three frames with forces and no energy, then one with both labels
+        cfg, tmp_path = tiny_run
+        out = train_once(tiny_run)
+        model = load_checkpoint(out / "final.npz")
+        rng = np.random.default_rng(7)
+        mols = [Molecule([1, 6], [[0, 0, 0], [1.0 + 0.1 * k, 0, 0]],
+                         forces=rng.normal(size=(2, 3))) for k in range(3)]
+        mols.append(Molecule([1, 8], [[0, 0, 0], [0, 1.1, 0]], energy=-1.0,
+                             forces=rng.normal(size=(2, 3))))
+        xyz = tmp_path / "forces.xyz"
+        xyz.write_text(write_xyz_frames(mols))
+        report = tmp_path / "report.csv"
+        capsys.readouterr()
+        assert main(["eval", str(out / "final.npz"), str(xyz),
+                     "--out", str(report)]) == 0
+        printed = capsys.readouterr().out
+        assert "MAE[energy]" in printed and "over 1 of 4 frames" in printed
+        assert "MAE[forces]" in printed and "over 4 of 4 frames" in printed
+        lines = report.read_text().strip().splitlines()
+        assert [l.split(",")[0] for l in lines] == ["target", "energy", "forces"]
+        # labels are physical forces; the model's default sign is the paper's
+        want_f = np.mean([np.mean(np.abs(-model.forces(m) - m.forces)) for m in mols])
+        assert float(lines[2].split(",")[1]) == pytest.approx(want_f, rel=1e-12)
+        assert float(lines[1].split(",")[1]) == pytest.approx(
+            abs(model.energy(mols[3]) + 1.0), rel=1e-10)
+
     def test_unlabeled_input_is_usage_error(self, tiny_run, tmp_path):
         out = train_once(tiny_run)
         xyz = tmp_path / "plain.xyz"
