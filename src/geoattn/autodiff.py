@@ -23,6 +23,8 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import operator
+import types
 import weakref
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -507,6 +509,37 @@ def einsum(spec: str, *operands) -> Tensor:
 # ---------------------------------------------------------------------------
 # composite layers
 
+# The vjps of the fused backward nodes are written once, as ``body(o, h,
+# *inputs)`` over an op set ``o``: the primitives while recording, so they
+# differentiate again, else numpy, each op with the bits of its primitive.
+_TENSOR_OPS = types.SimpleNamespace(
+    mul=mul, add=add, sub=sub, neg=neg, square=square,
+    row_mean=lambda a: mean(a, axis=-1, keepdims=True),
+    sum_last=lambda a: tensor_sum(a, axis=-1),
+    last_axis=lambda a: reshape(a, a.shape + (1,)))
+# operators, not ufunc calls: only then does numpy reuse a temporary's buffer
+_ARRAY_OPS = types.SimpleNamespace(
+    mul=operator.mul, add=operator.add, sub=operator.sub, neg=operator.neg,
+    square=lambda a: a * a,
+    row_mean=lambda a: a.sum(axis=-1, keepdims=True) * (1.0 / a.shape[-1]),
+    sum_last=lambda a: a.sum(axis=-1),
+    last_axis=lambda a: a[..., None])
+
+
+def _fused_vjp(body, h: Tensor, *inputs) -> Tensor:
+    """``body`` on the tensors while recording, else on their arrays."""
+    if _RECORDING:
+        return body(_TENSOR_OPS, h, *inputs)
+    arrays = [x.data if isinstance(x, Tensor) else x for x in inputs]
+    return Tensor(body(_ARRAY_OPS, h.data, *arrays))
+
+
+def _swish_back_a(o, h, g, a, s):
+    """h·g·p·(2 + a·(1 − 2s)) with p = s·(1 − s): the a-vjp of _swish_back."""
+    p = o.mul(s, o.sub(1.0, s))
+    return o.mul(o.mul(h, g), o.mul(p, o.add(o.mul(a, o.sub(1.0, o.mul(s, 2.0))), 2.0)))
+
+
 def _swish_back(g, a: Tensor, s: np.ndarray) -> Tensor:
     """The vjp of :func:`swish` into ``a``, as one node:
     g·s + (g·a)·(s·(1 − s)), the summed vjps of the composite a·sigmoid(a)
@@ -516,13 +549,8 @@ def _swish_back(g, a: Tensor, s: np.ndarray) -> Tensor:
     data += (g.data * a.data) * (s * (1.0 - s))
 
     def back_a(h):
-        # g·p·(2 + a·(1 − 2s)) with p = s·(1 − s), times h
-        if not _RECORDING:      # the composite below, on arrays, bit for bit
-            p = s * (1.0 - s)
-            return Tensor((h.data * g.data) * (p * (a.data * (1.0 - s * 2.0) + 2.0)))
-        st = sigmoid(a)
-        p = mul(st, sub(1.0, st))
-        return mul(mul(h, g), mul(p, add(mul(a, sub(1.0, mul(st, 2.0))), 2.0)))
+        # recorded, s is the node sigmoid(a), so a third order reaches a through it
+        return _fused_vjp(_swish_back_a, h, g, a, sigmoid(a) if _RECORDING else s)
 
     # the map g -> out is diagonal, so its vjp is the node itself
     return _node(data, [g, a], [lambda h: _swish_back(h, a, s), back_a])
@@ -533,6 +561,19 @@ def swish(a) -> Tensor:
     a = _coerce(a)
     s = _sigmoid(a.data)
     return _node(a.data * s, [a], [lambda g: _swish_back(g, a, s)])
+
+
+def _gaussian_back_g(o, h, r, out, centers, gamma):
+    """h·out·(−2γ(r − c)), h on a new last axis: the g-vjp of _gaussian_back."""
+    dc = o.mul(o.sub(o.last_axis(r), centers), -2.0 * gamma)
+    return o.mul(o.mul(o.last_axis(h), out), dc)
+
+
+def _gaussian_back_r(o, h, g, r, out, centers, gamma):
+    """h·(−2γ)·Σ g·out·(1 − 2γ(r − c)²): the r-vjp of _gaussian_back."""
+    d = o.sub(o.last_axis(r), centers)
+    inner = o.sum_last(o.mul(o.mul(g, out), o.sub(1.0, o.mul(o.square(d), 2.0 * gamma))))
+    return o.mul(o.mul(h, inner), -2.0 * gamma)
 
 
 def _gaussian_back(g, r: Tensor, out: Tensor, centers: np.ndarray, gamma: float) -> Tensor:
@@ -546,27 +587,9 @@ def _gaussian_back(g, r: Tensor, out: Tensor, centers: np.ndarray, gamma: float)
     d = r.data[..., None] - centers
     d *= 2.0
     t *= d
-    data = t.sum(axis=-1)
-
-    def back_g(h):
-        # h·out·(−2γ(r − c)), h on a new last axis
-        if not _RECORDING:      # the composite below, on arrays, bit for bit
-            dc = (r.data[..., None] - centers) * (-2.0 * gamma)
-            return Tensor((h.data[..., None] * out.data) * dc)
-        dc = mul(sub(reshape(r, r.shape + (1,)), centers), -2.0 * gamma)
-        return mul(mul(reshape(h, h.shape + (1,)), out), dc)
-
-    def back_r(h):
-        # h·(−2γ)·Σ g·out·(1 − 2γ(r − c)²)
-        if not _RECORDING:      # the composite below, on arrays, bit for bit
-            d = r.data[..., None] - centers
-            inner = ((g.data * out.data) * (1.0 - (d * d) * (2.0 * gamma))).sum(axis=-1)
-            return Tensor((h.data * inner) * (-2.0 * gamma))
-        d = sub(reshape(r, r.shape + (1,)), centers)
-        inner = tensor_sum(mul(mul(g, out), sub(1.0, mul(square(d), 2.0 * gamma))), axis=-1)
-        return mul(mul(h, inner), -2.0 * gamma)
-
-    return _node(data, [g, r], [back_g, back_r])
+    return _node(t.sum(axis=-1), [g, r],
+                 [lambda h: _fused_vjp(_gaussian_back_g, h, r, out, centers, gamma),
+                  lambda h: _fused_vjp(_gaussian_back_r, h, g, r, out, centers, gamma)])
 
 
 def gaussian(r, centers, gamma: float) -> Tensor:
@@ -598,17 +621,12 @@ def _ln_stats(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """The normalized rows n and the inverse deviation s = 1/σ of each row,
     in the op order of ``mean``, ``sub``, ``square``, ``add``, ``sqrt`` and
     ``div``, so they carry the bits of those primitives."""
-    inv_d = 1.0 / x.shape[-1]
-    xc = x - x.sum(axis=-1, keepdims=True) * inv_d
-    std = np.sqrt((xc * xc).sum(axis=-1, keepdims=True) * inv_d + eps)
+    xc = x - _ARRAY_OPS.row_mean(x)
+    std = np.sqrt(_ARRAY_OPS.row_mean(xc * xc) + eps)
     _check_finite(std, "layer_norm")
     s = 1.0 / std
     _check_finite(s, "layer_norm")
     return xc * s, s
-
-
-def _row_mean(a: Tensor) -> Tensor:
-    return mean(a, axis=-1, keepdims=True)
 
 
 def _ln_stats_tensors(x: Tensor, eps: float, stats) -> tuple[Tensor, Tensor]:
@@ -616,26 +634,20 @@ def _ln_stats_tensors(x: Tensor, eps: float, stats) -> tuple[Tensor, Tensor]:
     else constants of the ``stats`` arrays."""
     if not (_RECORDING and x.requires_grad):
         return constant(stats[0]), constant(stats[1])
-    xc = sub(x, _row_mean(x))
-    s = div(1.0, sqrt(add(_row_mean(square(xc)), eps)))
+    xc = sub(x, _TENSOR_OPS.row_mean(x))
+    s = div(1.0, sqrt(add(_TENSOR_OPS.row_mean(square(xc)), eps)))
     return mul(xc, s), s
 
 
-def _ln_back_x(h: np.ndarray, u: np.ndarray, stats) -> np.ndarray:
-    """The x-vjp of :func:`_ln_back` for u = g·gain, on arrays, in the op
-    order of its composite, so it carries the same bits."""
-    n, s = stats
-    inv_d = 1.0 / n.shape[-1]
-
-    def row_mean(a):
-        return a.sum(axis=-1, keepdims=True) * inv_d
-
-    un = row_mean(u * n)
-    w = (u - row_mean(u)) - n * un
-    hn = row_mean(h * n)
-    jh = (h - row_mean(h)) - n * hn
-    inner = (n * row_mean(h * w) + w * hn) + un * jh
-    return -((s * s) * inner)
+def _ln_back_x(o, h, g, gain, n, s):
+    """The x-vjp of _ln_back, with u = g·gain and means over the last axis."""
+    u = o.mul(g, gain)
+    un = o.row_mean(o.mul(u, n))
+    w = o.sub(o.sub(u, o.row_mean(u)), o.mul(n, un))
+    hn = o.row_mean(o.mul(h, n))
+    jh = o.sub(o.sub(h, o.row_mean(h)), o.mul(n, hn))
+    inner = o.add(o.add(o.mul(n, o.row_mean(o.mul(h, w))), o.mul(w, hn)), o.mul(un, jh))
+    return o.neg(o.mul(o.square(s), inner))
 
 
 def _ln_back(g, x: Tensor, gain, eps: float, stats) -> Tensor:
@@ -644,33 +656,17 @@ def _ln_back(g, x: Tensor, gain, eps: float, stats) -> Tensor:
     ``stats`` are the arrays (n, s) of ``x``."""
     g, gain = _coerce(g), _coerce(gain)
     n, s = stats
-    inv_d = 1.0 / n.shape[-1]
     u = g.data * gain.data
-    data = u - u.sum(axis=-1, keepdims=True) * inv_d
-    data -= n * ((u * n).sum(axis=-1, keepdims=True) * inv_d)
+    data = u - _ARRAY_OPS.row_mean(u)
+    data -= n * _ARRAY_OPS.row_mean(u * n)
     data *= s
 
     # out = J·(g·gain) with J = ∂n/∂x, which is symmetric in each row, so
     # the vjps into g and gain apply J to h: J·h = _ln_back(h, x, 1)
-    def back_g(h):
-        return _sum_to(mul(_ln_back(h, x, 1.0, eps, stats), gain), g.shape)
-
-    def back_gain(h):
-        return _sum_to(mul(g, _ln_back(h, x, 1.0, eps, stats)), gain.shape)
-
-    def back_x(h):
-        if not _RECORDING:      # the composite below, on arrays, bit for bit
-            return Tensor(_ln_back_x(h.data, g.data * gain.data, stats))
-        n, s = _ln_stats_tensors(x, eps, stats)
-        u = mul(g, gain)
-        un = _row_mean(mul(u, n))
-        w = sub(sub(u, _row_mean(u)), mul(n, un))
-        hn = _row_mean(mul(h, n))
-        jh = sub(sub(h, _row_mean(h)), mul(n, hn))
-        inner = add(add(mul(n, _row_mean(mul(h, w))), mul(w, hn)), mul(un, jh))
-        return neg(mul(square(s), inner))
-
-    return _node(data, [g, x, gain], [back_g, back_x, back_gain])
+    return _node(data, [g, x, gain], [
+        lambda h: _sum_to(mul(_ln_back(h, x, 1.0, eps, stats), gain), g.shape),
+        lambda h: _fused_vjp(_ln_back_x, h, g, gain, *_ln_stats_tensors(x, eps, stats)),
+        lambda h: _sum_to(mul(g, _ln_back(h, x, 1.0, eps, stats)), gain.shape)])
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:

@@ -283,6 +283,9 @@ def load_checkpoint(path) -> GeoTModel:
             except (ValueError, zipfile.BadZipFile) as exc:
                 raise ConfigError(f"{path}: checkpoint parameter {name!r} is unreadable "
                                   f"({exc})") from exc
+            if value.dtype.kind != "f":     # astype would drop an imaginary part silently
+                raise ConfigError(f"{path}: checkpoint parameter {name!r} has dtype "
+                                  f"{value.dtype}, not a float dtype")
             if params[name].shape != value.shape:
                 raise ConfigError(f"shape mismatch for {name!r}: "
                                   f"{params[name].shape} vs {value.shape}")

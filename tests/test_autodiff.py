@@ -489,6 +489,34 @@ class TestGaussian:
             np.testing.assert_array_equal(a.data, b.data)
 
 
+@pytest.mark.parametrize("create_graph", [False, True])
+@pytest.mark.parametrize("kind", ["layer_norm", "swish", "gaussian"])
+def test_fused_second_order_matches_composite(rng, kind, create_graph):
+    # a gradient norm inside the loss, as with forces: the parameter sweep
+    # runs every vjp of the fused op's own vjp node, on arrays without
+    # create_graph and on graph nodes with it; the primitive composite is
+    # the reference, and its sums run in another order
+    ops = {"layer_norm": (ad.layer_norm, TestLayerNorm.composite),
+           "swish": (ad.swish, TestSwish.composite),
+           "gaussian": (lambda r: ad.gaussian(r, TestGaussian.centers, TestGaussian.gamma),
+                        TestGaussian.composite)}[kind]
+    x0 = rng.uniform(0.2, 2.0, {"layer_norm": (4, 8), "swish": (6, 5), "gaussian": (9,)}[kind])
+    rest = [rng.uniform(0.5, 1.5, x0.shape[-1])]            # w
+    if kind == "layer_norm":
+        rest += [rng.uniform(0.5, 1.5, 8), rng.uniform(-0.5, 0.5, 8)]     # gain, bias
+
+    def parameter_grads(op):
+        leaves = [ad.parameter(a) for a in [x0] + rest]
+        x, w, *affine = leaves
+        f = ad.tensor_sum(ad.sin(op(ad.mul(x, w), *affine)))
+        (gx,) = ad.grad(f, [x], create_graph=True)
+        loss = ad.add(f, ad.tensor_sum(ad.square(gx)))
+        return [g.data for g in ad.grad(loss, leaves, create_graph=create_graph)]
+
+    for a, b in zip(parameter_grads(ops[0]), parameter_grads(ops[1])):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
 class TestSoftmax:
     def test_uniform(self):
         out = ad.softmax(ad.constant(np.full((2, 4), 1.7)))

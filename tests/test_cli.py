@@ -280,6 +280,22 @@ class TestExitCodes:
         xyz.write_text("1\nenergy=0\nH 0 0 0\n")
         assert main(["eval", str(blob), str(xyz)]) == 2
 
+    @pytest.mark.parametrize("dtype", [complex, bool, str])
+    def test_non_float_parameter_is_config_error(self, tmp_path, capsys, dtype):
+        # complex used to load with its imaginary part dropped, bool as 0/1
+        blob = tmp_path / "m.npz"
+        model = GeoTModel.init(ModelConfig(**json.loads(CHECKPOINT_CONFIG)), seed=0)
+        arrays = {f"param:{k}": t.data for k, t in model.params().items()}
+        arrays["param:w_pool"] = np.ones(model.w_pool.shape, dtype=dtype)
+        np.savez(blob, __config__=np.frombuffer(CHECKPOINT_CONFIG.encode(), dtype=np.uint8),
+                 **arrays)
+        xyz = tmp_path / "m.xyz"
+        xyz.write_text("1\nenergy=0\nH 0 0 0\n")
+        assert main(["forces", str(blob), str(xyz)]) == 2
+        err = capsys.readouterr().err
+        assert str(blob) in err and "'w_pool'" in err
+        assert str(arrays["param:w_pool"].dtype) in err
+
     def test_missing_checkpoint(self, tmp_path):
         xyz = tmp_path / "m.xyz"
         xyz.write_text("1\nenergy=0\nH 0 0 0\n")

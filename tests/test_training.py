@@ -119,6 +119,39 @@ class TestLosses:
         numeric = (loss_at(h) - loss_at(-h)) / (2 * h)
         assert abs(numeric - analytic) / abs(analytic) < 1e-5
 
+    @pytest.mark.parametrize("kind, mode, attn_scale", [
+        ("gaussian", "plain", False), ("gaussian", "atom_aware", False),
+        ("bessel", "plain", False), ("bessel", "atom_aware", False),
+        ("linear", "plain", False), ("linear", "atom_aware", False),
+        ("gaussian", "atom_aware", True)])
+    def test_each_parameter_array_along_its_own_direction_vs_fd(self, kind, mode, attn_scale):
+        # double backward, one random direction per parameter array, each
+        # against its own central difference, so that an error confined to
+        # one path cannot hide among the others.  The 48 Gaussian centers,
+        # 0.1 Å apart, span the molecule's distances (2.55-5.17 Å).
+        model = tiny_model(seed=1, n_layers=2, kernel_mode=mode, use_attn_scale=attn_scale,
+                           basis=BasisConfig(kind=kind, n_basis=48))
+        for layer in model.layers:
+            layer.attn.w_a.data = np.array(0.3)     # AttnScale is the identity at 0
+        mol = tiny_dataset(n=2).molecules[0]
+        cfg = TrainConfig(force_weight=10.0)
+        params = {k: t for k, t in model.params().items()     # w_a is unused without
+                  if attn_scale or not k.endswith(".w_a")}     # AttnScale: derivative 0
+        grads = ad.grad(molecule_loss(model, mol, cfg), params.values())
+        rng = np.random.default_rng(4)
+        h = 1e-6
+        for (name, leaf), g in zip(params.items(), grads):
+            d = rng.normal(size=leaf.shape)
+            d /= np.sqrt(np.sum(d * d))
+            analytic = float(np.sum(g.data * d))    # at least 0.014 in every case
+            base = leaf.data
+            leaf.data = base + h * d
+            up = molecule_loss(model, mol, cfg).item()
+            leaf.data = base - h * d
+            down = molecule_loss(model, mol, cfg).item()
+            leaf.data = base
+            assert abs((up - down) / (2 * h) - analytic) < 1e-5 * abs(analytic), name
+
     def test_energy_only_loss_when_forces_disabled(self):
         model = tiny_model()
         mol = tiny_dataset(n=2).molecules[0]
