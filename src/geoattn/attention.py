@@ -38,16 +38,17 @@ class AttentionParams:
     wq: ad.Tensor
     wk: ad.Tensor
     wv: ad.Tensor
-    w_a: ad.Tensor   # AttnScale amplification, scalar per layer
+    w_a: ad.Tensor | None = None     # AttnScale amplification, scalar per layer
 
 
-def init_attention_params(rng: np.random.Generator | None, d_m: int) -> AttentionParams:
+def init_attention_params(rng: np.random.Generator | None, d_m: int,
+                          use_attn_scale: bool = False) -> AttentionParams:
     from .geometry import glorot, param
     return AttentionParams(
         wq=glorot(rng, d_m, d_m),
         wk=glorot(rng, d_m, d_m),
         wv=glorot(rng, d_m, d_m),
-        w_a=param(rng, ()),
+        w_a=param(rng, ()) if use_attn_scale else None,
     )
 
 

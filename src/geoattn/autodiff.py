@@ -1,8 +1,10 @@
 """Dense-tensor reverse-mode automatic differentiation.
 
-The engine is deliberately small: a :class:`Tensor` wraps a numpy array and
-remembers, for every operation, its parent tensors together with one
-vector-Jacobian-product (vjp) closure per parent.  :func:`grad` is the one
+The engine is deliberately small: an op returns a :class:`Tensor`, its
+value, whose :class:`Node` remembers the parents' nodes together with one
+vector-Jacobian-product (vjp) closure per parent.  A node holds no value,
+and each vjp keeps only the tensors it reads, so an intermediate read for
+its shape alone is freed with its tensor.  :func:`grad` is the one
 way to differentiate: it sweeps the graph in reverse and runs a vjp only
 where the parent lies on a path from the requested tensors.  Every vjp is
 itself written in terms of these same primitives, so with
@@ -12,7 +14,7 @@ term (the gradient of the predicted energy w.r.t. coordinates) sit inside a
 training loss whose parameter gradient we then need.  With
 ``create_graph=False`` the same vjps run on plain arrays and record nothing.
 
-No closure holds its own output node, so a graph is freed by reference
+No closure holds its own op's node, so a graph is freed by reference
 counting as soon as its output is dropped.
 
 Every tensor is float64 (:data:`DEFAULT_DTYPE`).
@@ -45,21 +47,36 @@ class NonFiniteError(FloatingPointError):
     """A NaN or Inf showed up where the engine requires finite values."""
 
 
+class Node:
+    """An op's place in the differentiation graph: its parents' nodes and one
+    vjp closure per parent, but no value; the op's output :class:`Tensor`
+    holds that, for as long as someone holds the tensor."""
+
+    __slots__ = ("parents", "vjps", "__weakref__")
+    requires_grad = True
+    data = np.empty(0)      # graph walks read .data of nodes and leaves alike
+
+    def __init__(self, parents: tuple, vjps: tuple):
+        self.parents, self.vjps = parents, vjps
+
+
 class Tensor:
-    """A node of the differentiation graph.
+    """A value: a numpy array and, for a tracked op output, the op's
+    :class:`Node`.  Leaves, made by :func:`parameter` (tracked) or
+    :func:`constant` (untracked), are their own nodes.  Gradients are not
+    stored on tensors; :func:`grad` returns them."""
 
-    Leaves are created with :func:`parameter` (tracked) or :func:`constant`
-    (untracked); everything else comes out of the ops below.  Gradients are
-    not stored on tensors; :func:`grad` returns them.
-    """
+    __slots__ = ("data", "_node", "requires_grad", "__weakref__")
 
-    __slots__ = ("data", "parents", "vjps", "requires_grad", "__weakref__")
-
-    def __init__(self, data: np.ndarray, parents=(), vjps=(), requires_grad=False):
+    def __init__(self, data: np.ndarray, requires_grad=False, node: Node | None = None):
         self.data = data
-        self.parents = parents
-        self.vjps = vjps
+        self._node = node
         self.requires_grad = requires_grad
+
+    # the node a gradient sweep walks: the op's, or a leaf itself
+    node = property(lambda self: self._node or self)
+    parents = property(lambda self: self._node.parents if self._node else ())
+    vjps = property(lambda self: self._node.vjps if self._node else ())
 
     @property
     def shape(self):
@@ -77,7 +94,7 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self):
-        tag = "param" if (self.requires_grad and not self.parents) else "node"
+        tag = "node" if self._node is not None else "param" if self.requires_grad else "const"
         return f"Tensor({tag}, shape={self.shape})"
 
 
@@ -94,7 +111,7 @@ def constant(x) -> Tensor:
 def parameter(x) -> Tensor:
     """A differentiable leaf.  Rejects non-finite initial values."""
     arr = _as_array(x).copy()
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError("parameter initialized with non-finite values")
     return Tensor(arr, requires_grad=True)
 
@@ -104,12 +121,13 @@ def _coerce(x) -> Tensor:
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], vjps: Sequence[Callable]) -> Tensor:
-    """Build an op node, pruning the graph when no parent is tracked or
-    nothing is being recorded."""
+    """An op's output, with a node of the parents' nodes; none when no
+    parent is tracked or nothing is being recorded."""
     if _RECORDING:
         for p in parents:       # a plain loop: any() costs a generator per node
             if p.requires_grad:
-                return Tensor(data, tuple(parents), tuple(vjps), requires_grad=True)
+                return Tensor(data, True, Node(tuple([q._node or q for q in parents]),
+                                               tuple(vjps)))
     return Tensor(data)
 
 
@@ -125,17 +143,18 @@ def no_graph():
 
 
 def _with_output_vjp(out: Tensor, vjp: Callable) -> Tensor:
-    """Give a one-parent node the vjp ``vjp(g, out)``.  The closure holds
-    ``out`` weakly, so the node is not a reference cycle; a gradient sweep
-    only runs it while ``out`` is alive."""
-    if out.requires_grad:
-        ref = weakref.ref(out)
-        out.vjps = (lambda g: vjp(g, ref()),)
+    """Give a one-parent op the vjp ``vjp(g, out)``.  The closure keeps the
+    output array, and the op's node only weakly, so the node is no reference
+    cycle; a sweep holds the node while it runs the vjp, which rebuilds ``out``."""
+    node = out._node
+    if node is not None:
+        data, ref = out.data, weakref.ref(node)
+        node.vjps = (lambda g: vjp(g, Tensor(data, True, ref())),)
     return out
 
 
 def _check_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"non-finite values produced by {what}")
 
 
@@ -501,7 +520,8 @@ def einsum(spec: str, *operands) -> Tensor:
     vjp_specs, contract = _einsum_plan(spec, tuple(a.shape for a in arrays))
 
     def vjp(k):
-        return lambda g: einsum(vjp_specs[k], g, *operands[:k], *operands[k + 1:])
+        others = operands[:k] + operands[k + 1:]    # not the operand itself
+        return lambda g: einsum(vjp_specs[k], g, *others)
 
     return _node(contract(*arrays), operands, [vjp(k) for k in range(len(operands))])
 
@@ -690,25 +710,24 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 # ---------------------------------------------------------------------------
 # gradients
 
-def _live_order(root: Tensor, live: set[int]) -> list[Tensor]:
+def _live_order(root: Node | Tensor, live: set) -> list:
     """The nodes below ``root`` on a path from a node in ``live``, every
     parent before its children, from one post-order walk.  ``live`` holds
-    the ids of the tracked tensors the paths start from; the walk adds the
-    ids of the nodes it returns."""
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    the nodes of the tracked tensors the paths start from; the walk adds the
+    nodes it returns."""
+    order: list = []
+    seen: set = set()
+    stack: list = [(root, False)]
     while stack:
         node, expanded = stack.pop()
-        key = id(node)
         if expanded:
             for p in node.parents:
-                if id(p) in live:
-                    live.add(key)
+                if p in live:
+                    live.add(node)
                     order.append(node)
                     break
-        elif key not in seen:
-            seen.add(key)
+        elif node not in seen:
+            seen.add(node)
             stack.append((node, True))
             for p in node.parents:
                 if p.requires_grad:
@@ -728,25 +747,25 @@ def grad(output: Tensor, wrt: Iterable[Tensor], create_graph: bool = True) -> li
     wrt = list(wrt)
     if output.size != 1:
         raise ShapeError("gradient root must be a scalar")
-    keep = {id(t) for t in wrt}
-    gmap: dict[int, Tensor] = {}
+    keep = {t.node for t in wrt}
+    gmap: dict = {}
     if output.requires_grad:
-        live = {id(t) for t in wrt if t.requires_grad}
-        order = _live_order(output, live)
-        gmap[id(output)] = constant(np.ones(output.shape))
+        root = output.node
+        live = {t.node for t in wrt if t.requires_grad}
+        order = _live_order(root, live)
+        gmap[root] = constant(np.ones(output.shape))
         with contextlib.nullcontext() if create_graph else no_graph():
             for node in reversed(order):
-                key = id(node)
-                g = gmap.get(key) if key in keep else gmap.pop(key, None)
+                g = gmap.get(node) if node in keep else gmap.pop(node, None)
                 if g is None:
                     continue
                 for p, vjp in zip(node.parents, node.vjps):
-                    if id(p) in live:
+                    if p in live:
                         contrib = vjp(g)
-                        prev = gmap.get(id(p))
-                        gmap[id(p)] = contrib if prev is None else add(prev, contrib)
+                        prev = gmap.get(p)
+                        gmap[p] = contrib if prev is None else add(prev, contrib)
     out = []
     for t in wrt:
-        g = gmap.get(id(t))
+        g = gmap.get(t.node)
         out.append(g if g is not None else constant(np.zeros(t.shape)))
     return out

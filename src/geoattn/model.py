@@ -136,7 +136,7 @@ class GeoTModel:
         layers = []
         for _ in range(config.n_layers):
             layers.append(LayerParams(
-                attn=init_attention_params(rng, d_m),
+                attn=init_attention_params(rng, d_m, config.use_attn_scale),
                 kernel=init_kernel_params(rng, config.basis, d_m,
                                           mode=config.kernel_mode,
                                           d_rbf=config.d_rbf, d_emb2=config.d_emb2),
@@ -277,6 +277,10 @@ def load_checkpoint(path) -> GeoTModel:
             raise ConfigError(f"checkpoint lacks parameters: {', '.join(missing)}")
         for name in names:
             if name not in params:
+                # models without AttnScale once saved an unused w_a = 0: drop it
+                if (name.endswith(".attn.w_a") and name[:-3] + "wq" in params
+                        and np.array_equal(blob[f"param:{name}"], 0.0)):
+                    continue
                 raise ConfigError(f"checkpoint parameter {name!r} not in model")
             try:
                 value = blob[f"param:{name}"]     # each access reads the zip member
@@ -290,7 +294,7 @@ def load_checkpoint(path) -> GeoTModel:
                 raise ConfigError(f"shape mismatch for {name!r}: "
                                   f"{params[name].shape} vs {value.shape}")
             params[name].data = value.astype(params[name].data.dtype, copy=False)
-    bad = sorted(name for name, t in params.items() if not np.all(np.isfinite(t.data)))
+    bad = sorted(name for name, t in params.items() if not np.isfinite(t.data).all())
     if bad:
         raise ConfigError(f"checkpoint holds non-finite values in: {', '.join(bad)}")
     return model

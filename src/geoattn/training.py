@@ -107,7 +107,7 @@ class Adam:
     def step(self, grads: dict, lr: float) -> None:
         """One update; a non-finite gradient raises before anything changes."""
         for name in self.params:
-            if not np.all(np.isfinite(grads[name])):
+            if not np.isfinite(grads[name]).all():
                 raise ad.NonFiniteError(
                     f"non-finite gradient for parameter {name!r} at step {self.t + 1}")
         self.t += 1

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from geoattn import autodiff as ad
+
 # the PASS lines of tests/test_acceptance.py, in the order the tests ran
 HEADLINES: list[str] = []
 
@@ -39,6 +41,32 @@ def tracked_nodes(root):
             nodes.append(node)
             stack.extend(node.parents)
     return nodes
+
+
+def held_arrays(root):
+    """Every distinct buffer the graph below ``root`` holds: the data of
+    ``root`` and of the leaves (other nodes hold none) and the arrays the vjp
+    closures keep (through tuples, tensors and nested closures), a view
+    standing for the array it views."""
+    nodes = tracked_nodes(root)
+    buffers, seen = {}, set()
+    stack = [node.data for node in nodes] + [f for node in nodes for f in node.vjps]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            buffers[id(obj)] = obj
+        elif isinstance(obj, ad.Tensor):
+            stack.append(obj.data)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif getattr(obj, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in obj.__closure__)
+    return list(buffers.values())
 
 
 def rel_err(a, b):

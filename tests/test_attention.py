@@ -31,8 +31,7 @@ def parse_attention_csv(text: str) -> dict[int, np.ndarray]:
 def identity_params(d_m):
     return AttentionParams(wq=ad.constant(np.eye(d_m)),
                            wk=ad.constant(np.eye(d_m)),
-                           wv=ad.constant(np.eye(d_m)),
-                           w_a=ad.constant(np.zeros(())))
+                           wv=ad.constant(np.eye(d_m)))
 
 
 class TestConfig:
@@ -75,8 +74,7 @@ class TestQKVProject:
 
         def build(wt):
             params = AttentionParams(wq=wt, wk=ad.constant(np.eye(4)),
-                                     wv=ad.constant(np.eye(4)),
-                                     w_a=ad.constant(np.zeros(())))
+                                     wv=ad.constant(np.eye(4)))
             q, _, _ = qkv_project(ad.constant(x), params, cfg)
             return ad.tensor_sum(ad.square(q))
 
@@ -175,7 +173,7 @@ class TestAttnScale:
 class TestGeoMSA:
     def setup_case(self, rng, n=4, d_m=8, heads=2, use_scale=False):
         cfg = ModelConfig(d_m=d_m, n_heads=heads, use_attn_scale=use_scale)
-        params = init_attention_params(rng, d_m)
+        params = init_attention_params(rng, d_m, use_scale)
         x = rng.uniform(-1, 1, (n, d_m))
         lam = rng.uniform(-1, 1, (n, n, d_m))
         return cfg, params, x, lam

@@ -1,8 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from geoattn import autodiff as ad
-from conftest import numeric_grad, rel_err, tracked_nodes
+from conftest import held_arrays, numeric_grad, rel_err, tracked_nodes
 
 
 def scalar_grad(build, *arrays):
@@ -744,11 +746,28 @@ class TestGradContract:
         x = ad.parameter(rng.uniform(-2, 2, 4))
         w = ad.parameter(rng.uniform(-2, 2, 4))
         a = ad.exp(w)                # depends on w only
-        a.vjps = (refuse,)
+        a.node.vjps = (refuse,)     # the node's, which a sweep runs
         prod = ad.mul(x, a)
-        prod.vjps = (prod.vjps[0], refuse)
+        prod.node.vjps = (prod.vjps[0], refuse)
         (g,) = ad.grad(ad.tensor_sum(prod), [x])
         np.testing.assert_array_equal(g.data, a.data)
+
+    def test_a_value_read_for_its_shape_only_is_freed_with_its_tensor(self, rng):
+        # the model's kernel rows: an MLP layer whose output only a pair
+        # gather reads.  The graph keeps the layer's node, not its array.
+        g = ad.parameter(rng.uniform(-2, 2, (10, 3)))
+        w = ad.parameter(rng.uniform(-2, 2, (3, 5)))
+        b = ad.parameter(rng.uniform(-2, 2, 5))
+        rows = ad.add(ad.einsum("nd,de->ne", g, w), b)
+        ref = weakref.ref(rows.data)
+        out = ad.tensor_sum(ad.square(ad.expand_pairs(rows, ad.pair_index(4))))
+        before = [ad.grad(out, [g, w, b], create_graph=cg) for cg in (False, True)]
+        del rows
+        assert ref() is None
+        after = [ad.grad(out, [g, w, b], create_graph=cg) for cg in (False, True)]
+        for grads, again in zip(before, after):
+            for x, y in zip(grads, again):
+                np.testing.assert_array_equal(x.data, y.data)
 
     # graphs where one incoming gradient reaches two parents, or a parent
     # through a view (reshape, transpose) or a pass-through (add_pair_sum's
@@ -778,11 +797,11 @@ class TestGradContract:
         (numeric,) = numeric_grad(lambda a: loss(ad.constant(a)).item(), [x.data])
         assert rel_err(plain.data, numeric) < 1e-7
 
-        forward = [node.data.copy() for node in tracked_nodes(out)]
+        forward = [a.copy() for a in held_arrays(out)]
         first = plain.data.copy()
         (again,) = ad.grad(out, [x], create_graph=False)
-        for node, data in zip(tracked_nodes(out), forward):
-            np.testing.assert_array_equal(node.data, data)
+        for a, data in zip(held_arrays(out), forward):
+            np.testing.assert_array_equal(a, data)
         np.testing.assert_array_equal(plain.data, first)
         np.testing.assert_array_equal(again.data, first)
 

@@ -13,7 +13,7 @@ from geoattn.errors import ConfigError
 from geoattn.geometry import BasisConfig, Molecule
 from geoattn.model import (GeoTModel, ModelConfig, checkpoint_bytes, ffn,
                            load_checkpoint, save_checkpoint)
-from conftest import numeric_grad, rel_err, tracked_nodes
+from conftest import held_arrays, numeric_grad, rel_err, tracked_nodes
 
 
 def small_config(**over):
@@ -246,40 +246,25 @@ class TestGraphSize:
         assert len(tracked_nodes(loss)) <= 340
 
 
-def held_buffers(nodes):
-    """The bytes of each distinct buffer a graph holds: the data of its
-    tracked nodes and the arrays their vjp closures keep (through tuples,
-    tensors and nested closures), a view counting as the array it views."""
-    buffers, seen = {}, set()
-    stack = [node.data for node in nodes] + [f for node in nodes for f in node.vjps]
-    while stack:
-        obj = stack.pop()
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        if isinstance(obj, np.ndarray):
-            while isinstance(obj.base, np.ndarray):
-                obj = obj.base
-            buffers[id(obj)] = obj.nbytes
-        elif isinstance(obj, ad.Tensor):
-            stack.append(obj.data)
-        elif isinstance(obj, (tuple, list)):
-            stack.extend(obj)
-        elif getattr(obj, "__closure__", None):
-            stack.extend(cell.cell_contents for cell in obj.__closure__)
-    return buffers
+def held_bytes(root):
+    return sum(a.nbytes for a in held_arrays(root))
 
 
 class TestGraphMemory:
-    """Bytes held by the graph of one default-model training loss until the
-    loss is dropped."""
+    """Bytes held by a default-model graph until its output is dropped."""
 
     def test_training_loss_bytes(self, rng):
         mol = random_molecule(rng, n=12)
         mol = Molecule(mol.atomic_numbers, mol.coords, energy=0.0, forces=np.zeros((12, 3)))
         loss = training.molecule_loss(GeoTModel.init(ModelConfig(), seed=0), mol,
                                       training.TrainConfig())
-        assert sum(held_buffers(tracked_nodes(loss)).values()) <= 5.50e6   # 5.43 MB measured
+        assert held_bytes(loss) <= 4.04e6     # 3.96 MB measured
+
+    def test_forward_bytes(self, rng):
+        # the graph that a force evaluation sweeps
+        energy, _ = GeoTModel.init(ModelConfig(), seed=0).forward_parts(
+            random_molecule(rng, n=40))
+        assert held_bytes(energy) <= 12.5e6   # 12.26 MB measured
 
 
 class TestAttentionTrace:
@@ -294,9 +279,8 @@ class TestAttentionTrace:
             assert rec.logits.shape == (4, 4, cfg.n_heads)
 
 
-ATTN_KERNEL_NAMES = ["layer0.attn.wq", "layer0.attn.wk", "layer0.attn.wv",
-                     "layer0.attn.w_a", "layer0.kernel.w1", "layer0.kernel.b1",
-                     "layer0.kernel.w2", "layer0.kernel.b2"]
+ATTN_NAMES = ["layer0.attn.wq", "layer0.attn.wk", "layer0.attn.wv"]
+KERNEL_NAMES = ["layer0.kernel.w1", "layer0.kernel.b1", "layer0.kernel.w2", "layer0.kernel.b2"]
 FFN_LN0_NAMES = ["layer0.ffn_w1", "layer0.ffn_b1", "layer0.ffn_w2", "layer0.ffn_b2",
                  "layer0.ln0_gain", "layer0.ln0_bias"]
 
@@ -306,13 +290,18 @@ class TestCheckpoints:
     @pytest.mark.parametrize("over, names", [
         (dict(block_kind="sequential", kernel_mode="atom_aware",
               basis=BasisConfig(kind="linear", n_basis=8)),
-         ["atom_embedding", *ATTN_KERNEL_NAMES, "layer0.kernel.embed", "layer0.kernel.lin_a",
-          "layer0.kernel.lin_b", *FFN_LN0_NAMES, "layer0.ln1_gain", "layer0.ln1_bias",
-          "w_pool", "b_out"]),
+         ["atom_embedding", *ATTN_NAMES, *KERNEL_NAMES, "layer0.kernel.embed",
+          "layer0.kernel.lin_a", "layer0.kernel.lin_b", *FFN_LN0_NAMES, "layer0.ln1_gain",
+          "layer0.ln1_bias", "w_pool", "b_out"]),
         (dict(block_kind="parallel_mlp", kernel_mode="plain",
               basis=BasisConfig(kind="gaussian", n_basis=8)),
-         ["atom_embedding", *ATTN_KERNEL_NAMES, *FFN_LN0_NAMES, "w_pool", "b_out"]),
-    ], ids=["sequential_atom_aware_linear", "parallel_plain_gaussian"])
+         ["atom_embedding", *ATTN_NAMES, *KERNEL_NAMES, *FFN_LN0_NAMES, "w_pool", "b_out"]),
+        (dict(block_kind="parallel_mlp", kernel_mode="plain", use_attn_scale=True,
+              basis=BasisConfig(kind="gaussian", n_basis=8)),
+         ["atom_embedding", *ATTN_NAMES, "layer0.attn.w_a", *KERNEL_NAMES, *FFN_LN0_NAMES,
+          "w_pool", "b_out"]),
+    ], ids=["sequential_atom_aware_linear", "parallel_plain_gaussian",
+            "parallel_plain_gaussian_attn_scale"])
     def test_parameter_names_pinned(self, over, names):
         model = GeoTModel.init(small_config(n_layers=1, **over), seed=0)
         assert list(model.params()) == names
@@ -377,6 +366,32 @@ class TestCheckpoints:
         arrays["__config__"] = np.frombuffer(json.dumps(cfg).encode(), dtype=np.uint8)
         np.savez(path, **arrays)
         with pytest.raises(ConfigError, match=re.escape(named)):
+            load_checkpoint(path)
+
+    @staticmethod
+    def with_w_a(tmp_path, value):
+        """A checkpoint of a model without AttnScale that holds an unused
+        ``layer0.attn.w_a``, as such checkpoints once did."""
+        model = GeoTModel.init(small_config(), seed=0)
+        path = tmp_path / "model.npz"
+        save_checkpoint(model, path)
+        with np.load(path) as blob:
+            arrays = {k: blob[k] for k in blob.files}
+        arrays["param:layer0.attn.w_a"] = np.array(value)
+        np.savez(path, **arrays)
+        return model, path
+
+    def test_unused_zero_w_a_loads_and_is_dropped(self, rng, tmp_path):
+        model, path = self.with_w_a(tmp_path, 0.0)
+        loaded = load_checkpoint(path)
+        assert "layer0.attn.w_a" not in loaded.params()
+        assert checkpoint_bytes(loaded) == checkpoint_bytes(model)
+        mol = random_molecule(rng)
+        assert loaded.energy(mol) == model.energy(mol)
+
+    def test_unused_nonzero_w_a_rejected(self, tmp_path):
+        _, path = self.with_w_a(tmp_path, 0.25)
+        with pytest.raises(ConfigError, match="layer0.attn.w_a"):
             load_checkpoint(path)
 
     def test_missing_parameter_rejected(self, tmp_path):

@@ -131,12 +131,12 @@ class TestLosses:
         # 0.1 Å apart, span the molecule's distances (2.55-5.17 Å).
         model = tiny_model(seed=1, n_layers=2, kernel_mode=mode, use_attn_scale=attn_scale,
                            basis=BasisConfig(kind=kind, n_basis=48))
-        for layer in model.layers:
-            layer.attn.w_a.data = np.array(0.3)     # AttnScale is the identity at 0
+        if attn_scale:
+            for layer in model.layers:
+                layer.attn.w_a.data = np.array(0.3)     # AttnScale is the identity at 0
         mol = tiny_dataset(n=2).molecules[0]
         cfg = TrainConfig(force_weight=10.0)
-        params = {k: t for k, t in model.params().items()     # w_a is unused without
-                  if attn_scale or not k.endswith(".w_a")}     # AttnScale: derivative 0
+        params = model.params()
         grads = ad.grad(molecule_loss(model, mol, cfg), params.values())
         rng = np.random.default_rng(4)
         h = 1e-6
