@@ -13,6 +13,8 @@ ordinary tensors and can be differentiated again, which is what lets a force
 term (the gradient of the predicted energy w.r.t. coordinates) sit inside a
 training loss whose parameter gradient we then need.  With
 ``create_graph=False`` the same vjps run on plain arrays and record nothing.
+Under :func:`frozen`, leaves whose gradient is not wanted (the parameters
+of a force evaluation) record as constants, so the graph keeps less.
 
 No closure holds its own op's node, so a graph is freed by reference
 counting as soon as its output is dropped.
@@ -101,6 +103,8 @@ class Tensor:
 def _as_array(x) -> np.ndarray:
     if isinstance(x, np.ndarray) and x.dtype == DEFAULT_DTYPE:
         return x
+    if x is None:       # np.asarray would make a NaN scalar of it
+        raise TypeError("an operand is None, not an array or a tensor")
     return np.asarray(x, dtype=DEFAULT_DTYPE)
 
 
@@ -140,6 +144,21 @@ def no_graph():
         yield
     finally:
         _RECORDING = recording
+
+
+@contextlib.contextmanager
+def frozen(tensors: Iterable[Tensor]):
+    """Record with the leaves ``tensors`` as constants, so that the graph
+    holds only what the other tracked leaves need; their ``requires_grad``
+    comes back on exit.  A graph recorded here has no gradient into them."""
+    thawed = [t for t in tensors if t.requires_grad]
+    for t in thawed:
+        t.requires_grad = False
+    try:
+        yield
+    finally:
+        for t in thawed:
+            t.requires_grad = True
 
 
 def _with_output_vjp(out: Tensor, vjp: Callable) -> Tensor:
@@ -513,13 +532,16 @@ def _einsum_plan(spec: str, shapes: tuple):
 def einsum(spec: str, *operands) -> Tensor:
     """Differentiable ``np.einsum`` with an explicit output, e.g.
     ``einsum("ihc,jhc->ijh", q, k)``; the engine's only contraction.  The
-    vjp of each operand is the einsum of the incoming gradient with the
-    other operands, so it differentiates again like any other op."""
+    vjp of each tracked operand is the einsum of the incoming gradient with
+    the other operands, so it differentiates again like any other op; an
+    untracked operand gets none, so no closure keeps the others for it."""
     operands = [_coerce(t) for t in operands]
     arrays = [t.data for t in operands]
     vjp_specs, contract = _einsum_plan(spec, tuple(a.shape for a in arrays))
 
     def vjp(k):
+        if not operands[k].requires_grad:
+            return None
         others = operands[:k] + operands[k + 1:]    # not the operand itself
         return lambda g: einsum(vjp_specs[k], g, *others)
 
@@ -761,6 +783,9 @@ def grad(output: Tensor, wrt: Iterable[Tensor], create_graph: bool = True) -> li
                     continue
                 for p, vjp in zip(node.parents, node.vjps):
                     if p in live:
+                        if vjp is None:
+                            raise ValueError(f"grad: no vjp into a leaf of shape {p.shape}: "
+                                             f"it was frozen when the graph was recorded")
                         contrib = vjp(g)
                         prev = gmap.get(p)
                         gmap[p] = contrib if prev is None else add(prev, contrib)

@@ -10,9 +10,11 @@ under atom permutations.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import io
 import json
+import os
 import zipfile
 from dataclasses import dataclass, field
 
@@ -221,8 +223,11 @@ class GeoTModel:
         return f, e, coords
 
     def energy_and_forces(self, molecule: Molecule) -> tuple[float, np.ndarray]:
-        """Energy and forces from one forward pass; no graph for the gradient."""
-        f, e, _ = self.force_tensor(molecule, create_graph=False)
+        """Energy and forces from one forward pass that records only the
+        graph of the coordinates (the parameters frozen); no graph for the
+        gradient."""
+        with ad.frozen(self.params().values()):
+            f, e, _ = self.force_tensor(molecule, create_graph=False)
         return e.item(), f.data.copy()
 
     def forces(self, molecule: Molecule) -> np.ndarray:
@@ -253,13 +258,18 @@ def _check_fields(cls, values, what: str) -> None:
 
 
 def load_checkpoint(path) -> GeoTModel:
-    try:
-        blob = np.load(path)    # pickles are refused, not loaded
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise ConfigError(f"{path} is not a geoattn checkpoint: not an .npz archive") from exc
-    if not isinstance(blob, np.lib.npyio.NpzFile):
-        raise ConfigError(f"{path} is not a geoattn checkpoint: a bare .npy array")
-    with blob:
+    """The model saved at ``path``, a file name or a binary file object."""
+    with contextlib.ExitStack() as stack:
+        fh = path
+        if isinstance(path, (str, os.PathLike)):
+            fh = stack.enter_context(open(path, "rb"))
+        try:
+            blob = np.load(fh)    # pickles are refused, not loaded
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise ConfigError(f"{path} is not a geoattn checkpoint: not an .npz archive") from exc
+        if not isinstance(blob, np.lib.npyio.NpzFile):
+            raise ConfigError(f"{path} is not a geoattn checkpoint: a bare .npy array")
+        stack.enter_context(blob)
         if "__config__" not in blob.files:
             raise ConfigError(f"{path} is not a geoattn checkpoint: no __config__")
         try:

@@ -77,6 +77,13 @@ class TestElementwise:
         with pytest.raises(ad.ShapeError, match=rf"^{op}: cannot broadcast \(3,\) with \(4,\)$"):
             getattr(ad, op)(ad.constant(np.ones(3)), ad.constant(np.ones(4)))
 
+    @pytest.mark.parametrize("op", ["add", "mul", "einsum"])
+    def test_none_operand_is_refused(self, op):
+        x = ad.constant(np.ones(3))
+        args = ("i,i->i", x, None) if op == "einsum" else (x, None)
+        with pytest.raises(TypeError, match="an operand is None"):
+            getattr(ad, op)(*args)
+
     def test_exp_overflow_is_checked(self):
         with pytest.raises(ad.NonFiniteError):
             ad.exp(ad.constant(1e4))
@@ -768,6 +775,55 @@ class TestGradContract:
         for grads, again in zip(before, after):
             for x, y in zip(grads, again):
                 np.testing.assert_array_equal(x.data, y.data)
+
+    def test_a_swish_output_read_by_a_constant_weight_is_freed_with_its_tensor(self, rng):
+        # a feed-forward layer of a force evaluation: no vjp into the
+        # untracked weight, so nothing keeps the activation it multiplies
+        x = ad.parameter(rng.uniform(-2, 2, (6, 4)))
+        w = ad.constant(rng.uniform(-2, 2, (4, 3)))
+        h = ad.swish(x)
+        ref = weakref.ref(h.data)
+        y = ad.einsum("nd,de->ne", h, w)
+        assert y.vjps[1] is None
+        out = ad.tensor_sum(ad.square(y))
+        before = [ad.grad(out, [x], create_graph=cg) for cg in (False, True)]
+        del h
+        assert ref() is None
+        after = [ad.grad(out, [x], create_graph=cg) for cg in (False, True)]
+        for grads, again in zip(before, after):
+            np.testing.assert_array_equal(grads[0].data, again[0].data)
+
+    def test_frozen_leaves_record_as_constants(self, rng):
+        x = ad.parameter(rng.uniform(-2, 2, (4, 5)))
+        w = ad.parameter(rng.uniform(-2, 2, (5, 3)))
+        with ad.frozen([w]):
+            out = self.build(x, w)
+        assert w.requires_grad
+        np.testing.assert_array_equal(out.data, self.build(x, w).data)
+        for cg in (False, True):
+            (g_frozen,) = ad.grad(out, [x], create_graph=cg)
+            (g,) = ad.grad(self.build(x, w), [x], create_graph=cg)
+            np.testing.assert_array_equal(g_frozen.data, g.data)
+        with ad.frozen([x, w]):
+            assert not self.build(x, w).requires_grad
+
+    def test_frozen_restores_requires_grad_after_an_error(self, rng):
+        w = ad.parameter(rng.uniform(1, 2, 3))
+        c = ad.constant(np.ones(3))
+        with pytest.raises(ad.NonFiniteError):
+            with ad.frozen([w, c]):
+                assert not w.requires_grad
+                ad.exp(ad.mul(w, 1e4))
+        assert w.requires_grad and not c.requires_grad
+        assert ad.exp(w).parents
+
+    def test_gradient_into_a_leaf_frozen_while_recording_is_refused(self, rng):
+        x = ad.parameter(rng.uniform(-2, 2, (4, 5)))
+        w = ad.parameter(rng.uniform(-2, 2, (5, 3)))
+        with ad.frozen([w]):
+            out = ad.tensor_sum(ad.einsum("ij,jk->ik", x, w))
+        with pytest.raises(ValueError, match=r"leaf of shape \(5, 3\): it was frozen"):
+            ad.grad(out, [x, w])
 
     # graphs where one incoming gradient reaches two parents, or a parent
     # through a view (reshape, transpose) or a pass-through (add_pair_sum's

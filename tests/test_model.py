@@ -190,6 +190,32 @@ class TestForces:
         f1 = model.forces(Molecule(mol.atomic_numbers, mol.coords @ u.T))
         assert np.max(np.abs(f1 - f0 @ u.T)) < 1e-7
 
+    @pytest.mark.parametrize("variant", [{}, {"use_attn_scale": True},
+                                         {"use_softmax_baseline": True}],
+                             ids=["plain", "attn_scale", "softmax"])
+    @pytest.mark.parametrize("block", ["sequential", "parallel_mlp"])
+    @pytest.mark.parametrize("mode", ["plain", "atom_aware"])
+    @pytest.mark.parametrize("kind", ["gaussian", "bessel", "linear"])
+    def test_frozen_parameters_change_no_bit(self, rng, kind, mode, block, variant):
+        model = GeoTModel.init(small_config(basis=BasisConfig(kind=kind, n_basis=16),
+                                            kernel_mode=mode, block_kind=block, **variant),
+                               seed=0)
+        for layer in model.layers:
+            if layer.attn.w_a is not None:
+                layer.attn.w_a.data = np.array(0.3)
+        mol = random_molecule(rng, n=5)
+        energy, forces = model.energy_and_forces(mol)
+        f, e, _ = model.force_tensor(mol, create_graph=False)
+        assert energy == e.item()
+        np.testing.assert_array_equal(forces, f.data)
+        assert all(t.requires_grad for t in model.params().values())
+
+    def test_attn_scale_without_w_a_names_the_none_operand(self, rng):
+        model = GeoTModel.init(small_config(), seed=0)
+        model.config.use_attn_scale = True      # switched on after a build without w_a
+        with pytest.raises(TypeError, match="an operand is None"):
+            model.energy(random_molecule(rng))
+
     def test_force_tensor_supports_double_backward(self, rng):
         model = GeoTModel.init(small_config(n_layers=1), seed=0)
         mol = random_molecule(rng, n=3)
@@ -240,6 +266,15 @@ class TestGraphSize:
         energy, _ = model.forward_parts(mol)
         assert len(tracked_nodes(energy)) <= 211
 
+    def test_force_forward_nodes(self, setup):
+        # energy_and_forces records only the graph of the coordinates
+        model, mol = setup
+        energies = []
+        inner = model.forward_parts
+        model.forward_parts = lambda m: energies.append(inner(m)) or energies[-1]
+        model.energy_and_forces(mol)
+        assert len(tracked_nodes(energies[0][0])) <= 164
+
     def test_training_loss_nodes(self, setup):
         model, mol = setup
         loss = training.molecule_loss(model, mol, training.TrainConfig())
@@ -265,6 +300,14 @@ class TestGraphMemory:
         energy, _ = GeoTModel.init(ModelConfig(), seed=0).forward_parts(
             random_molecule(rng, n=40))
         assert held_bytes(energy) <= 12.5e6   # 12.26 MB measured
+
+    def test_force_forward_bytes(self, rng):
+        # the same forward with the parameters frozen, as a force evaluation
+        # records it
+        model = GeoTModel.init(ModelConfig(), seed=0)
+        with ad.frozen(model.params().values()):
+            energy, _ = model.forward_parts(random_molecule(rng, n=40))
+        assert held_bytes(energy) <= 8.8e6    # 8.67 MB measured
 
 
 class TestAttentionTrace:
