@@ -20,6 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, UsageError
+from .geometry import glorot, param
 
 
 @dataclass
@@ -43,7 +44,6 @@ class AttentionParams:
 
 def init_attention_params(rng: np.random.Generator | None, d_m: int,
                           use_attn_scale: bool = False) -> AttentionParams:
-    from .geometry import glorot, param
     return AttentionParams(
         wq=glorot(rng, d_m, d_m),
         wk=glorot(rng, d_m, d_m),

@@ -9,10 +9,13 @@ way to differentiate: it sweeps the graph in reverse and runs a vjp only
 where the parent lies on a path from the requested tensors.  Every vjp is
 itself written in terms of these same primitives, so with
 ``create_graph=True`` the sweep *builds new graph nodes*.  Gradients are then
-ordinary tensors and can be differentiated again, which is what lets a force
-term (the gradient of the predicted energy w.r.t. coordinates) sit inside a
-training loss whose parameter gradient we then need.  With
-``create_graph=False`` the same vjps run on plain arrays and record nothing.
+ordinary tensors and can be differentiated once more, which is what lets a
+force term (the gradient of the predicted energy w.r.t. coordinates) sit
+inside a training loss whose parameter gradient we then need.  The fused ops
+(layer norm, swish, the Gaussian basis) stop there: the vjps of their
+backward nodes run in numpy, and a third derivative through them is a
+``NotImplementedError``.  With ``create_graph=False`` the same vjps run on
+plain arrays and record nothing.
 Under :func:`frozen`, leaves whose gradient is not wanted (the parameters
 of a force evaluation) record as constants, so the graph keeps less.
 
@@ -27,8 +30,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import operator
-import types
 import weakref
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -150,7 +151,11 @@ def no_graph():
 def frozen(tensors: Iterable[Tensor]):
     """Record with the leaves ``tensors`` as constants, so that the graph
     holds only what the other tracked leaves need; their ``requires_grad``
-    comes back on exit.  A graph recorded here has no gradient into them."""
+    comes back on exit.  A graph recorded here is differentiated only with
+    respect to the other leaves.  Inside the scope :func:`grad` refuses a
+    frozen leaf.  After it, the gradient into one depends on the op that
+    read it: refused (``einsum``), true (``mul`` with a tracked operand), or
+    a silent zero where no operand was tracked (``exp(w)``)."""
     thawed = [t for t in tensors if t.requires_grad]
     for t in thawed:
         t.requires_grad = False
@@ -224,16 +229,6 @@ def tensor_sum(a, axis=None, keepdims=False) -> Tensor:
         return broadcast_to(reshape(g, kept), in_shape)
 
     return _node(data, [a], [back])
-
-
-def mean(a, axis=None, keepdims=False) -> Tensor:
-    a = _coerce(a)
-    if axis is None:
-        n = a.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        n = math.prod(a.shape[i] for i in axes)
-    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
@@ -551,36 +546,24 @@ def einsum(spec: str, *operands) -> Tensor:
 # ---------------------------------------------------------------------------
 # composite layers
 
-# The vjps of the fused backward nodes are written once, as ``body(o, h,
-# *inputs)`` over an op set ``o``: the primitives while recording, so they
-# differentiate again, else numpy, each op with the bits of its primitive.
-_TENSOR_OPS = types.SimpleNamespace(
-    mul=mul, add=add, sub=sub, neg=neg, square=square,
-    row_mean=lambda a: mean(a, axis=-1, keepdims=True),
-    sum_last=lambda a: tensor_sum(a, axis=-1),
-    last_axis=lambda a: reshape(a, a.shape + (1,)))
-# operators, not ufunc calls: only then does numpy reuse a temporary's buffer
-_ARRAY_OPS = types.SimpleNamespace(
-    mul=operator.mul, add=operator.add, sub=operator.sub, neg=operator.neg,
-    square=lambda a: a * a,
-    row_mean=lambda a: a.sum(axis=-1, keepdims=True) * (1.0 / a.shape[-1]),
-    sum_last=lambda a: a.sum(axis=-1),
-    last_axis=lambda a: a[..., None])
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """The mean over the last axis, kept, with the bits of the composite
+    mul(tensor_sum(a, -1, keepdims=True), 1/n)."""
+    return a.sum(axis=-1, keepdims=True) * (1.0 / a.shape[-1])
 
 
-def _fused_vjp(body, h: Tensor, *inputs) -> Tensor:
-    """``body`` on the tensors while recording, else on their arrays."""
-    if _RECORDING:
-        return body(_TENSOR_OPS, h, *inputs)
-    arrays = [x.data if isinstance(x, Tensor) else x for x in inputs]
-    return Tensor(body(_ARRAY_OPS, h.data, *arrays))
+def _second_order(data: np.ndarray, op: str, inputs: Sequence[Tensor]) -> Tensor:
+    """The value of a vjp of a fused op's backward node, computed in numpy,
+    as a node of ``inputs`` whose vjps refuse: the engine differentiates a
+    fused op twice, which a force term in a loss needs, and no further."""
+    def refuse(g):
+        raise NotImplementedError(f"a third derivative through {op}")
+
+    return _node(data, inputs, [refuse] * len(inputs))
 
 
-def _swish_back_a(o, h, g, a, s):
-    """h·g·p·(2 + a·(1 − 2s)) with p = s·(1 − s): the a-vjp of _swish_back."""
-    p = o.mul(s, o.sub(1.0, s))
-    return o.mul(o.mul(h, g), o.mul(p, o.add(o.mul(a, o.sub(1.0, o.mul(s, 2.0))), 2.0)))
-
+# The vjps below compute with operators, not ufunc calls: only then does numpy
+# reuse a temporary's buffer.
 
 def _swish_back(g, a: Tensor, s: np.ndarray) -> Tensor:
     """The vjp of :func:`swish` into ``a``, as one node:
@@ -591,8 +574,10 @@ def _swish_back(g, a: Tensor, s: np.ndarray) -> Tensor:
     data += (g.data * a.data) * (s * (1.0 - s))
 
     def back_a(h):
-        # recorded, s is the node sigmoid(a), so a third order reaches a through it
-        return _fused_vjp(_swish_back_a, h, g, a, sigmoid(a) if _RECORDING else s)
+        # h·g·p·(2 + a·(1 − 2s)) with p = s·(1 − s)
+        p = s * (1.0 - s)
+        return _second_order((h.data * g.data) * (p * (a.data * (1.0 - s * 2.0) + 2.0)),
+                             "swish", [h, g, a])
 
     # the map g -> out is diagonal, so its vjp is the node itself
     return _node(data, [g, a], [lambda h: _swish_back(h, a, s), back_a])
@@ -603,19 +588,6 @@ def swish(a) -> Tensor:
     a = _coerce(a)
     s = _sigmoid(a.data)
     return _node(a.data * s, [a], [lambda g: _swish_back(g, a, s)])
-
-
-def _gaussian_back_g(o, h, r, out, centers, gamma):
-    """h·out·(−2γ(r − c)), h on a new last axis: the g-vjp of _gaussian_back."""
-    dc = o.mul(o.sub(o.last_axis(r), centers), -2.0 * gamma)
-    return o.mul(o.mul(o.last_axis(h), out), dc)
-
-
-def _gaussian_back_r(o, h, g, r, out, centers, gamma):
-    """h·(−2γ)·Σ g·out·(1 − 2γ(r − c)²): the r-vjp of _gaussian_back."""
-    d = o.sub(o.last_axis(r), centers)
-    inner = o.sum_last(o.mul(o.mul(g, out), o.sub(1.0, o.mul(o.square(d), 2.0 * gamma))))
-    return o.mul(o.mul(h, inner), -2.0 * gamma)
 
 
 def _gaussian_back(g, r: Tensor, out: Tensor, centers: np.ndarray, gamma: float) -> Tensor:
@@ -629,9 +601,19 @@ def _gaussian_back(g, r: Tensor, out: Tensor, centers: np.ndarray, gamma: float)
     d = r.data[..., None] - centers
     d *= 2.0
     t *= d
-    return _node(t.sum(axis=-1), [g, r],
-                 [lambda h: _fused_vjp(_gaussian_back_g, h, r, out, centers, gamma),
-                  lambda h: _fused_vjp(_gaussian_back_r, h, g, r, out, centers, gamma)])
+
+    def back_g(h):
+        # h·out·(−2γ(r − c)), h on a new last axis
+        dc = (r.data[..., None] - centers) * (-2.0 * gamma)
+        return _second_order((h.data[..., None] * out.data) * dc, "gaussian", [h, r, out])
+
+    def back_r(h):
+        # h·(−2γ)·Σ g·out·(1 − 2γ(r − c)²)
+        d = r.data[..., None] - centers
+        inner = ((g.data * out.data) * (1.0 - (d * d) * (2.0 * gamma))).sum(axis=-1)
+        return _second_order((h.data * inner) * (-2.0 * gamma), "gaussian", [h, g, r, out])
+
+    return _node(t.sum(axis=-1), [g, r], [back_g, back_r])
 
 
 def gaussian(r, centers, gamma: float) -> Tensor:
@@ -663,33 +645,12 @@ def _ln_stats(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """The normalized rows n and the inverse deviation s = 1/σ of each row,
     in the op order of ``mean``, ``sub``, ``square``, ``add``, ``sqrt`` and
     ``div``, so they carry the bits of those primitives."""
-    xc = x - _ARRAY_OPS.row_mean(x)
-    std = np.sqrt(_ARRAY_OPS.row_mean(xc * xc) + eps)
+    xc = x - _row_mean(x)
+    std = np.sqrt(_row_mean(xc * xc) + eps)
     _check_finite(std, "layer_norm")
     s = 1.0 / std
     _check_finite(s, "layer_norm")
     return xc * s, s
-
-
-def _ln_stats_tensors(x: Tensor, eps: float, stats) -> tuple[Tensor, Tensor]:
-    """n and s of :func:`_ln_stats`: graph nodes of ``x`` while recording,
-    else constants of the ``stats`` arrays."""
-    if not (_RECORDING and x.requires_grad):
-        return constant(stats[0]), constant(stats[1])
-    xc = sub(x, _TENSOR_OPS.row_mean(x))
-    s = div(1.0, sqrt(add(_TENSOR_OPS.row_mean(square(xc)), eps)))
-    return mul(xc, s), s
-
-
-def _ln_back_x(o, h, g, gain, n, s):
-    """The x-vjp of _ln_back, with u = g·gain and means over the last axis."""
-    u = o.mul(g, gain)
-    un = o.row_mean(o.mul(u, n))
-    w = o.sub(o.sub(u, o.row_mean(u)), o.mul(n, un))
-    hn = o.row_mean(o.mul(h, n))
-    jh = o.sub(o.sub(h, o.row_mean(h)), o.mul(n, hn))
-    inner = o.add(o.add(o.mul(n, o.row_mean(o.mul(h, w))), o.mul(w, hn)), o.mul(un, jh))
-    return o.neg(o.mul(o.square(s), inner))
 
 
 def _ln_back(g, x: Tensor, gain, eps: float, stats) -> Tensor:
@@ -699,15 +660,25 @@ def _ln_back(g, x: Tensor, gain, eps: float, stats) -> Tensor:
     g, gain = _coerce(g), _coerce(gain)
     n, s = stats
     u = g.data * gain.data
-    data = u - _ARRAY_OPS.row_mean(u)
-    data -= n * _ARRAY_OPS.row_mean(u * n)
+    data = u - _row_mean(u)
+    data -= n * _row_mean(u * n)
     data *= s
+
+    def back_x(h):
+        hd = h.data
+        u = g.data * gain.data      # again: a closure holding u would grow the graph
+        un = _row_mean(u * n)
+        w = (u - _row_mean(u)) - n * un
+        hn = _row_mean(hd * n)
+        jh = (hd - _row_mean(hd)) - n * hn
+        inner = (n * _row_mean(hd * w) + w * hn) + un * jh
+        return _second_order(-((s * s) * inner), "layer_norm", [h, g, gain, x])
 
     # out = J·(g·gain) with J = ∂n/∂x, which is symmetric in each row, so
     # the vjps into g and gain apply J to h: J·h = _ln_back(h, x, 1)
     return _node(data, [g, x, gain], [
         lambda h: _sum_to(mul(_ln_back(h, x, 1.0, eps, stats), gain), g.shape),
-        lambda h: _fused_vjp(_ln_back_x, h, g, gain, *_ln_stats_tensors(x, eps, stats)),
+        back_x,
         lambda h: _sum_to(mul(g, _ln_back(h, x, 1.0, eps, stats)), gain.shape)])
 
 
@@ -723,9 +694,14 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         raise ShapeError(f"layer_norm: gain {gain.shape} and bias {bias.shape} "
                          f"do not broadcast with {x.shape}") from exc
     sg, sb = gain.shape, bias.shape
+
+    def back_gain(g):
+        # n as a node of x, whose vjp is J·h, since J = ∂n/∂x is symmetric
+        n = _node(stats[0], [x], [lambda h: _ln_back(h, x, 1.0, eps, stats)])
+        return _sum_to(mul(g, n), sg)
+
     return _node(data, [x, gain, bias],
-                 [lambda g: _ln_back(g, x, gain, eps, stats),
-                  lambda g: _sum_to(mul(g, _ln_stats_tensors(x, eps, stats)[0]), sg),
+                 [lambda g: _ln_back(g, x, gain, eps, stats), back_gain,
                   lambda g: _sum_to(g, sb)])
 
 
@@ -761,19 +737,24 @@ def grad(output: Tensor, wrt: Iterable[Tensor], create_graph: bool = True) -> li
     """Gradient tensors of a scalar ``output`` w.r.t. each tensor in ``wrt``.
 
     Only vjps into nodes on a path from ``wrt`` run.  With ``create_graph``
-    the results live on the graph and can be differentiated again; without
+    the results live on the graph and can be differentiated once more; without
     it the sweep records no nodes and the results are untracked.  Tensors in
     ``wrt`` that the output does not depend on get a zero gradient of
-    matching shape.
+    matching shape.  A tensor in ``wrt`` must be tracked: a constant, or a
+    leaf frozen by an active :func:`frozen`, is a ``ValueError``.
     """
     wrt = list(wrt)
     if output.size != 1:
         raise ShapeError("gradient root must be a scalar")
+    for t in wrt:
+        if not t.requires_grad:
+            raise ValueError(f"grad: a tensor of shape {t.shape} in wrt is untracked: "
+                             f"a constant, or a leaf of an active frozen()")
     keep = {t.node for t in wrt}
     gmap: dict = {}
     if output.requires_grad:
         root = output.node
-        live = {t.node for t in wrt if t.requires_grad}
+        live = set(keep)
         order = _live_order(root, live)
         gmap[root] = constant(np.ones(output.shape))
         with contextlib.nullcontext() if create_graph else no_graph():

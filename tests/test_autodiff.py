@@ -198,6 +198,11 @@ class TestActivations:
         assert rel_err(g, n) < 1e-5
 
 
+def row_mean(a):
+    """The mean over the last axis, kept, as a sum times 1/n."""
+    return ad.mul(ad.tensor_sum(a, axis=-1, keepdims=True), 1.0 / a.shape[-1])
+
+
 class TestLayerNorm:
     def test_constant_row_is_zero(self):
         x = ad.constant(np.full((2, 4), 3.0))
@@ -230,8 +235,8 @@ class TestLayerNorm:
     @staticmethod
     def composite(x, gain, bias, eps=1e-5):
         """Layer norm built from primitives, as the engine once did."""
-        xc = ad.sub(x, ad.mean(x, axis=-1, keepdims=True))
-        var = ad.mean(ad.square(xc), axis=-1, keepdims=True)
+        xc = ad.sub(x, row_mean(x))
+        var = row_mean(ad.square(xc))
         inv = ad.div(1.0, ad.sqrt(ad.add(var, eps)))
         return ad.add(ad.mul(ad.mul(xc, inv), gain), bias)
 
@@ -303,23 +308,16 @@ class TestLayerNorm:
             assert not a.requires_grad
             np.testing.assert_array_equal(a.data, b.data)
 
-    def test_third_order_vs_finite_differences(self, rng):
-        # d/d(x, gain) of |g2|^2, where g2 = d/dx sum(cos(d/dx sum(sin(LN))))
-        # is a create-graph gradient of a create-graph gradient
+    def test_third_order_is_refused(self, rng):
+        # g2 = d/dx sum(cos(d/dx sum(sin(LN)))) is a second derivative; its
+        # gradient would differentiate the x-vjp of layer norm's backward node
         x, gain, bias = self.setup(rng)
-
-        def outer(xs, gs):
-            xt, gt = ad.parameter(xs), ad.parameter(gs)
-            f = ad.tensor_sum(ad.sin(ad.layer_norm(xt, gt, bias)))
-            (g1,) = ad.grad(f, [xt], create_graph=True)
-            (g2,) = ad.grad(ad.tensor_sum(ad.cos(g1)), [xt], create_graph=True)
-            return ad.tensor_sum(ad.square(g2)), [xt, gt]
-
-        loss, leaves = outer(x, gain)
-        grads = ad.grad(loss, leaves)
-        numeric = numeric_grad(lambda xs, gs: outer(xs, gs)[0].item(), [x, gain])
-        for g, n in zip(grads, numeric):
-            assert rel_err(g.data, n) < 1e-6
+        xt, gt = ad.parameter(x), ad.parameter(gain)
+        f = ad.tensor_sum(ad.sin(ad.layer_norm(xt, gt, bias)))
+        (g1,) = ad.grad(f, [xt], create_graph=True)
+        (g2,) = ad.grad(ad.tensor_sum(ad.cos(g1)), [xt], create_graph=True)
+        with pytest.raises(NotImplementedError, match="a third derivative through layer_norm"):
+            ad.grad(ad.tensor_sum(ad.square(g2)), [xt, gt])
 
 
 def assert_same_bits(a, b):
@@ -373,22 +371,16 @@ class TestSwish:
         for g, n in zip(grads, numeric):
             assert rel_err(g.data, n) < 1e-6
 
-    def test_third_order_vs_finite_differences(self, rng):
-        # d/d(x, w) of |g2|^2 with g2 = d/dx sum(cos(d/dx sum(sin(swish(x)·w))))
+    def test_third_order_is_refused(self, rng):
+        # g2 = d/dx sum(cos(d/dx sum(sin(swish(x)·w)))) is a second
+        # derivative; its gradient would differentiate swish's a-vjp
         x, w = rng.uniform(-3, 3, (3, 4)), rng.uniform(0.5, 1.5, 4)
-
-        def outer(xs, ws):
-            xt, wt = ad.parameter(xs), ad.parameter(ws)
-            f = ad.tensor_sum(ad.sin(ad.mul(ad.swish(xt), wt)))
-            (g1,) = ad.grad(f, [xt], create_graph=True)
-            (g2,) = ad.grad(ad.tensor_sum(ad.cos(g1)), [xt], create_graph=True)
-            return ad.tensor_sum(ad.square(g2)), [xt, wt]
-
-        loss, leaves = outer(x, w)
-        grads = ad.grad(loss, leaves)
-        numeric = numeric_grad(lambda xs, ws: outer(xs, ws)[0].item(), [x, w])
-        for g, n in zip(grads, numeric):
-            assert rel_err(g.data, n) < 1e-6
+        xt, wt = ad.parameter(x), ad.parameter(w)
+        f = ad.tensor_sum(ad.sin(ad.mul(ad.swish(xt), wt)))
+        (g1,) = ad.grad(f, [xt], create_graph=True)
+        (g2,) = ad.grad(ad.tensor_sum(ad.cos(g1)), [xt], create_graph=True)
+        with pytest.raises(NotImplementedError, match="a third derivative through swish"):
+            ad.grad(ad.tensor_sum(ad.square(g2)), [xt, wt])
 
     def test_no_graph_double_backward_is_bitwise_recorded(self, rng):
         # a gradient norm inside the loss, as with forces: the parameter
@@ -465,22 +457,17 @@ class TestGaussian:
         for g, n in zip(grads, numeric):
             assert rel_err(g.data, n) < 1e-6
 
-    def test_third_order_vs_finite_differences(self, rng):
-        # d/d(r, w) of |g2|^2 with g2 = d/dr sum(cos(d/dr sum(sin(gaussian(r)·w))))
+    def test_third_order_is_refused(self, rng):
+        # g2 = d/dr sum(cos(d/dr sum(sin(gaussian(r)·w)))) is a second
+        # derivative; its gradient would differentiate the vjps of the
+        # basis's backward node
         r, w = rng.uniform(0.1, 1.2, 5), rng.uniform(0.5, 1.5, 4)
-
-        def outer(rs, ws):
-            rt, wt = ad.parameter(rs), ad.parameter(ws)
-            f = ad.tensor_sum(ad.sin(ad.mul(ad.gaussian(rt, **self.small), wt)))
-            (g1,) = ad.grad(f, [rt], create_graph=True)
-            (g2,) = ad.grad(ad.tensor_sum(ad.cos(g1)), [rt], create_graph=True)
-            return ad.tensor_sum(ad.square(g2)), [rt, wt]
-
-        loss, leaves = outer(r, w)
-        grads = ad.grad(loss, leaves)
-        numeric = numeric_grad(lambda rs, ws: outer(rs, ws)[0].item(), [r, w])
-        for g, n in zip(grads, numeric):
-            assert rel_err(g.data, n) < 1e-6
+        rt, wt = ad.parameter(r), ad.parameter(w)
+        f = ad.tensor_sum(ad.sin(ad.mul(ad.gaussian(rt, **self.small), wt)))
+        (g1,) = ad.grad(f, [rt], create_graph=True)
+        (g2,) = ad.grad(ad.tensor_sum(ad.cos(g1)), [rt], create_graph=True)
+        with pytest.raises(NotImplementedError, match="a third derivative through gaussian"):
+            ad.grad(ad.tensor_sum(ad.square(g2)), [rt, wt])
 
     def test_no_graph_double_backward_is_bitwise_recorded(self, rng):
         # forces in the loss: the parameter sweep runs both vjps of the
@@ -524,6 +511,25 @@ def test_fused_second_order_matches_composite(rng, kind, create_graph):
 
     for a, b in zip(parameter_grads(ops[0]), parameter_grads(ops[1])):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("kind, k", [("layer_norm", 1), ("swish", 1), ("gaussian", 0),
+                                     ("gaussian", 1)],
+                         ids=["layer_norm_x", "swish_a", "gaussian_g", "gaussian_r"])
+def test_each_second_order_vjp_refuses_a_third_derivative(rng, kind, k):
+    # the vjps of a fused op's backward node run in numpy: untracked without
+    # a graph, and while recording a node that refuses to be differentiated
+    op = {"layer_norm": lambda x: ad.layer_norm(x, np.ones(8), np.zeros(8)),
+          "swish": ad.swish,
+          "gaussian": lambda r: ad.gaussian(r, TestGaussian.centers, TestGaussian.gamma)}[kind]
+    x = ad.parameter(rng.uniform(0.2, 2.0, (4, 8)))
+    (back,) = ad.grad(ad.tensor_sum(ad.sin(op(x))), [x], create_graph=True)
+    h = ad.parameter(rng.normal(size=back.shape))
+    with ad.no_graph():
+        assert not back.vjps[k](h).requires_grad
+    second = back.vjps[k](h)
+    with pytest.raises(NotImplementedError, match=f"a third derivative through {kind}$"):
+        ad.grad(ad.tensor_sum(second), [h])
 
 
 class TestSoftmax:
@@ -824,6 +830,27 @@ class TestGradContract:
             out = ad.tensor_sum(ad.einsum("ij,jk->ik", x, w))
         with pytest.raises(ValueError, match=r"leaf of shape \(5, 3\): it was frozen"):
             ad.grad(out, [x, w])
+
+    @pytest.mark.parametrize("op", ["exp", "mul", "einsum"])
+    def test_gradient_into_a_frozen_leaf_inside_the_scope_is_refused(self, rng, op):
+        # without the check all three answered 0, which the gradient into w
+        # is in none of them
+        x = ad.parameter(rng.uniform(-2, 2, 4))
+        w = ad.parameter(rng.uniform(-2, 2, 4))
+        build = {"exp": lambda: ad.tensor_sum(ad.mul(ad.exp(w), x)),
+                 "mul": lambda: ad.tensor_sum(ad.mul(w, x)),
+                 "einsum": lambda: ad.einsum("i,i->", w, x)}[op]
+        with ad.frozen([w]):
+            out = build()
+            (gx,) = ad.grad(out, [x])
+            with pytest.raises(ValueError, match=r"shape \(4,\) in wrt is untracked"):
+                ad.grad(out, [x, w])
+        np.testing.assert_array_equal(gx.data, ad.grad(build(), [x])[0].data)
+
+    def test_gradient_with_respect_to_a_constant_is_refused(self):
+        x = ad.parameter([1.0, 2.0])
+        with pytest.raises(ValueError, match="untracked"):
+            ad.grad(ad.tensor_sum(ad.square(x)), [x, ad.constant([1.0, 2.0])])
 
     # graphs where one incoming gradient reaches two parents, or a parent
     # through a view (reshape, transpose) or a pass-through (add_pair_sum's

@@ -52,7 +52,8 @@ class TestSchedule:
 class TestLosses:
     def test_mae_hand_values(self):
         def mae(pred, target):
-            return ad.mean(ad.absolute(ad.sub(pred, target)))
+            err = ad.absolute(ad.sub(pred, target))
+            return ad.mul(ad.tensor_sum(err), 1.0 / err.size)
 
         x = ad.constant([1.0, 2.0, 3.0])
         assert mae(x, np.array([1.0, 1.0, 1.0])).item() == pytest.approx(1.0)
@@ -151,6 +152,30 @@ class TestLosses:
             down = molecule_loss(model, mol, cfg).item()
             leaf.data = base
             assert abs((up - down) / (2 * h) - analytic) < 1e-5 * abs(analytic), name
+
+    @pytest.mark.parametrize("kind, mode, variant", [
+        ("gaussian", "plain", "plain"), ("gaussian", "atom_aware", "plain"),
+        ("bessel", "plain", "plain"), ("bessel", "atom_aware", "plain"),
+        ("linear", "plain", "plain"), ("linear", "atom_aware", "plain"),
+        ("gaussian", "atom_aware", "attn_scale"), ("gaussian", "atom_aware", "softmax")])
+    def test_recorded_parameter_gradients_are_those_training_uses(self, kind, mode, variant):
+        # the oracles above differentiate with create_graph=True; train_step
+        # runs the sweep without a graph, which must give the same bits
+        extra = {"plain": {}, "attn_scale": {"use_attn_scale": True},
+                 "softmax": {"use_softmax_baseline": True}}[variant]
+        model = tiny_model(seed=1, n_layers=2, kernel_mode=mode,
+                           basis=BasisConfig(kind=kind, n_basis=48), **extra)
+        for layer in model.layers:
+            if layer.attn.w_a is not None:
+                layer.attn.w_a.data = np.array(0.3)
+        mol = tiny_dataset(n=2).molecules[0]
+        loss = molecule_loss(model, mol, TrainConfig(force_weight=10.0))
+        params = list(model.params().values())
+        recorded = ad.grad(loss, params, create_graph=True)
+        plain = ad.grad(loss, params, create_graph=False)
+        for a, b in zip(recorded, plain):
+            assert not b.requires_grad
+            np.testing.assert_array_equal(a.data, b.data)
 
     def test_energy_only_loss_when_forces_disabled(self):
         model = tiny_model()
