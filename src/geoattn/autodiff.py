@@ -20,7 +20,10 @@ Under :func:`frozen`, leaves whose gradient is not wanted (the parameters
 of a force evaluation) record as constants, so the graph keeps less.
 
 No closure holds its own op's node, so a graph is freed by reference
-counting as soon as its output is dropped.
+counting as soon as its output is dropped.  A sweep without
+``create_graph`` frees what it ran sooner: each node whose vjps it ran gets
+vjps that raise a ``ValueError``, which releases the arrays the old ones
+held, so sweeping that graph again raises instead of answering wrong.
 
 Every tensor is float64 (:data:`DEFAULT_DTYPE`).
 """
@@ -733,12 +736,22 @@ def _live_order(root: Node | Tensor, live: set) -> list:
     return order
 
 
+def _swept(g):
+    """The vjp of every node that a sweep without ``create_graph`` ran."""
+    raise ValueError("grad: this graph was already swept with create_graph=False, "
+                     "which frees it")
+
+
 def grad(output: Tensor, wrt: Iterable[Tensor], create_graph: bool = True) -> list[Tensor]:
     """Gradient tensors of a scalar ``output`` w.r.t. each tensor in ``wrt``.
 
     Only vjps into nodes on a path from ``wrt`` run.  With ``create_graph``
-    the results live on the graph and can be differentiated once more; without
-    it the sweep records no nodes and the results are untracked.  Tensors in
+    the results live on the graph and can be differentiated once more, and
+    the graph can be swept again.  Without it the sweep records no nodes,
+    the results are untracked, and each node whose vjps ran is freed: its
+    vjps, and the arrays they held, give way to one that raises a
+    ``ValueError``, so sweeping that part of the graph again raises.  Nodes
+    off the swept path keep their vjps.  Tensors in
     ``wrt`` that the output does not depend on get a zero gradient of
     matching shape.  A tensor in ``wrt`` must be tracked: a constant, or a
     leaf frozen by an active :func:`frozen`, is a ``ValueError``.
@@ -770,6 +783,8 @@ def grad(output: Tensor, wrt: Iterable[Tensor], create_graph: bool = True) -> li
                         contrib = vjp(g)
                         prev = gmap.get(p)
                         gmap[p] = contrib if prev is None else add(prev, contrib)
+                if not create_graph:
+                    node.vjps = (_swept,) * len(node.parents)
     out = []
     for t in wrt:
         g = gmap.get(t.node)

@@ -216,7 +216,8 @@ class GeoTModel:
 
     def force_tensor(self, molecule: Molecule, create_graph: bool = True):
         """(force tensor, energy tensor, coords leaf); with ``create_graph``
-        the forces can be differentiated again."""
+        the forces can be differentiated again.  Without it the coordinate
+        sweep frees the energy's graph, which then cannot be swept again."""
         e, coords = self.forward_parts(molecule)
         (de_dr,) = ad.grad(e, [coords], create_graph=create_graph)
         f = de_dr if self.config.force_sign == "paper" else ad.neg(de_dr)
@@ -225,7 +226,7 @@ class GeoTModel:
     def energy_and_forces(self, molecule: Molecule) -> tuple[float, np.ndarray]:
         """Energy and forces from one forward pass that records only the
         graph of the coordinates (the parameters frozen); no graph for the
-        gradient."""
+        gradient, whose sweep frees the forward graph as it runs."""
         with ad.frozen(self.params().values()):
             f, e, _ = self.force_tensor(molecule, create_graph=False)
         return e.item(), f.data.copy()

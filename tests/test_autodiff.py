@@ -302,8 +302,8 @@ class TestLayerNorm:
         (gx,) = ad.grad(f, [x], create_graph=True)
         loss = ad.add(f, ad.tensor_sum(ad.square(gx)))
         leaves = [x, w, gain, bias]
-        plain = ad.grad(loss, leaves, create_graph=False)
         tracked = ad.grad(loss, leaves, create_graph=True)
+        plain = ad.grad(loss, leaves, create_graph=False)     # frees the graph
         for a, b in zip(plain, tracked):
             assert not a.requires_grad
             np.testing.assert_array_equal(a.data, b.data)
@@ -391,8 +391,8 @@ class TestSwish:
         f = ad.tensor_sum(ad.sin(ad.mul(ad.swish(ad.mul(x, w)), v)))
         (gx,) = ad.grad(f, [x], create_graph=True)
         loss = ad.add(f, ad.tensor_sum(ad.square(gx)))
-        plain = ad.grad(loss, [x, w, v], create_graph=False)
         tracked = ad.grad(loss, [x, w, v], create_graph=True)
+        plain = ad.grad(loss, [x, w, v], create_graph=False)  # frees the graph
         for a, b in zip(plain, tracked):
             assert not a.requires_grad
             np.testing.assert_array_equal(a.data, b.data)
@@ -478,8 +478,8 @@ class TestGaussian:
         f = ad.tensor_sum(ad.sin(ad.mul(self.fused(ad.mul(x, w)), v)))
         (gx,) = ad.grad(f, [x], create_graph=True)
         loss = ad.add(f, ad.tensor_sum(ad.square(gx)))
-        plain = ad.grad(loss, [x, w, v], create_graph=False)
         tracked = ad.grad(loss, [x, w, v], create_graph=True)
+        plain = ad.grad(loss, [x, w, v], create_graph=False)  # frees the graph
         for a, b in zip(plain, tracked):
             assert not a.requires_grad
             np.testing.assert_array_equal(a.data, b.data)
@@ -735,6 +735,39 @@ class TestGradContract:
             np.testing.assert_array_equal(a.data, b.data)
             assert b.parents == () and not b.requires_grad
 
+    @pytest.mark.parametrize("create_graph", [False, True])
+    def test_a_graph_swept_without_create_graph_refuses_a_second_sweep(self, rng, create_graph):
+        x = ad.parameter(rng.uniform(-2, 2, (4, 5)))
+        w = ad.parameter(rng.uniform(-2, 2, (5, 3)))
+        out = self.build(x, w)
+        ad.grad(out, [x, w], create_graph=False)
+        with pytest.raises(ValueError, match="already swept with create_graph=False"):
+            ad.grad(out, [x], create_graph=create_graph)
+
+    def test_a_create_graph_sweep_keeps_the_graph_and_a_plain_one_frees_it(self, rng):
+        x = ad.parameter(rng.uniform(-2, 2, (4, 5)))
+        w = ad.parameter(rng.uniform(-2, 2, (5, 3)))
+        out = self.build(x, w)
+        tracked = ad.grad(out, [x, w], create_graph=True)
+        again = ad.grad(out, [x, w], create_graph=True)
+        plain = ad.grad(out, [x, w], create_graph=False)
+        for a, b, c in zip(tracked, again, plain):
+            assert_same_bits(a.data, b.data)
+            assert_same_bits(a.data, c.data)
+        # what is left is the leaves' arrays
+        assert sum(a.nbytes for a in held_arrays(out)) == x.data.nbytes + w.data.nbytes
+
+    def test_a_later_sweep_through_a_freed_node_raises_and_one_beside_it_does_not(self, rng):
+        x = ad.parameter(rng.uniform(-2, 2, 4))
+        w = ad.parameter(rng.uniform(-2, 2, 4))
+        u = ad.exp(w)               # off the path from x
+        prod = ad.mul(x, u)
+        ad.grad(ad.tensor_sum(prod), [x], create_graph=False)
+        (gw,) = ad.grad(ad.tensor_sum(u), [w], create_graph=False)
+        np.testing.assert_array_equal(gw.data, u.data)
+        with pytest.raises(ValueError, match="already swept with create_graph=False"):
+            ad.grad(ad.tensor_sum(ad.square(prod)), [w])
+
     def test_no_graph_block_records_nothing(self, rng):
         x = ad.parameter(rng.uniform(-2, 2, (4, 5)))
         w = ad.parameter(rng.uniform(-2, 2, (5, 3)))
@@ -771,15 +804,21 @@ class TestGradContract:
         g = ad.parameter(rng.uniform(-2, 2, (10, 3)))
         w = ad.parameter(rng.uniform(-2, 2, (3, 5)))
         b = ad.parameter(rng.uniform(-2, 2, 5))
-        rows = ad.add(ad.einsum("nd,de->ne", g, w), b)
+
+        def record():
+            rows = ad.add(ad.einsum("nd,de->ne", g, w), b)
+            return rows, ad.tensor_sum(ad.square(ad.expand_pairs(rows, ad.pair_index(4))))
+
+        # a sweep without create_graph frees its graph: each before-sweep
+        # gets a graph of its own, and the create_graph sweep goes first below
+        before = {cg: ad.grad(record()[1], [g, w, b], create_graph=cg) for cg in (False, True)}
+        rows, out = record()
         ref = weakref.ref(rows.data)
-        out = ad.tensor_sum(ad.square(ad.expand_pairs(rows, ad.pair_index(4))))
-        before = [ad.grad(out, [g, w, b], create_graph=cg) for cg in (False, True)]
         del rows
         assert ref() is None
-        after = [ad.grad(out, [g, w, b], create_graph=cg) for cg in (False, True)]
-        for grads, again in zip(before, after):
-            for x, y in zip(grads, again):
+        after = {cg: ad.grad(out, [g, w, b], create_graph=cg) for cg in (True, False)}
+        for cg in before:
+            for x, y in zip(before[cg], after[cg]):
                 np.testing.assert_array_equal(x.data, y.data)
 
     def test_a_swish_output_read_by_a_constant_weight_is_freed_with_its_tensor(self, rng):
@@ -787,17 +826,22 @@ class TestGradContract:
         # untracked weight, so nothing keeps the activation it multiplies
         x = ad.parameter(rng.uniform(-2, 2, (6, 4)))
         w = ad.constant(rng.uniform(-2, 2, (4, 3)))
-        h = ad.swish(x)
+
+        def record():
+            h = ad.swish(x)
+            y = ad.einsum("nd,de->ne", h, w)
+            return h, y, ad.tensor_sum(ad.square(y))
+
+        # as above: a graph per no-graph sweep, the create_graph sweep first
+        before = {cg: ad.grad(record()[2], [x], create_graph=cg) for cg in (False, True)}
+        h, y, out = record()
         ref = weakref.ref(h.data)
-        y = ad.einsum("nd,de->ne", h, w)
         assert y.vjps[1] is None
-        out = ad.tensor_sum(ad.square(y))
-        before = [ad.grad(out, [x], create_graph=cg) for cg in (False, True)]
         del h
         assert ref() is None
-        after = [ad.grad(out, [x], create_graph=cg) for cg in (False, True)]
-        for grads, again in zip(before, after):
-            np.testing.assert_array_equal(grads[0].data, again[0].data)
+        after = {cg: ad.grad(out, [x], create_graph=cg) for cg in (True, False)}
+        for cg in before:
+            np.testing.assert_array_equal(before[cg][0].data, after[cg][0].data)
 
     def test_frozen_leaves_record_as_constants(self, rng):
         x = ad.parameter(rng.uniform(-2, 2, (4, 5)))
@@ -806,7 +850,7 @@ class TestGradContract:
             out = self.build(x, w)
         assert w.requires_grad
         np.testing.assert_array_equal(out.data, self.build(x, w).data)
-        for cg in (False, True):
+        for cg in (True, False):        # the sweep without create_graph frees out
             (g_frozen,) = ad.grad(out, [x], create_graph=cg)
             (g,) = ad.grad(self.build(x, w), [x], create_graph=cg)
             np.testing.assert_array_equal(g_frozen.data, g.data)
@@ -874,17 +918,20 @@ class TestGradContract:
 
         x = ad.parameter(rng.uniform(-2, 2, (4, 4)))
         out = loss(x)
+        # the arrays the sweeps read, held here: the sweep without
+        # create_graph drops the graph's hold on them
+        forward = held_arrays(out)
+        copies = [a.copy() for a in forward]
         (tracked,) = ad.grad(out, [x], create_graph=True)
         (plain,) = ad.grad(out, [x], create_graph=False)
+        for a, data in zip(forward, copies):
+            np.testing.assert_array_equal(a, data)
         np.testing.assert_array_equal(plain.data, tracked.data)
         (numeric,) = numeric_grad(lambda a: loss(ad.constant(a)).item(), [x.data])
         assert rel_err(plain.data, numeric) < 1e-7
 
-        forward = [a.copy() for a in held_arrays(out)]
         first = plain.data.copy()
-        (again,) = ad.grad(out, [x], create_graph=False)
-        for a, data in zip(held_arrays(out), forward):
-            np.testing.assert_array_equal(a, data)
+        (again,) = ad.grad(loss(x), [x], create_graph=False)
         np.testing.assert_array_equal(plain.data, first)
         np.testing.assert_array_equal(again.data, first)
 

@@ -333,6 +333,7 @@ class TestTrainCommand:
         rows = (out / "metrics.csv").read_text().strip().splitlines()[1:]
         assert max(int(r.split(",")[0]) for r in rows) == 1
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")     # inf/NaN on purpose
     def test_diverged_run_keeps_artifacts(self, tiny_run, monkeypatch):
         cfg, tmp_path = tiny_run
         inner = training.molecule_loss
@@ -352,6 +353,7 @@ class TestTrainCommand:
         assert not (out / "final.npz").exists()
 
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")     # inf/NaN on purpose
     @pytest.mark.parametrize("flags", [
         ["--eval_every", "1"], ["--max_steps", "1", "--eval_every", "100"]],
         ids=["periodic_eval", "final_eval"])

@@ -365,6 +365,7 @@ class TestTrainLoop:
         l2 = molecule_loss(m2, mol, cfg).item()
         assert l1 == l2
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")     # inf/NaN on purpose
     def test_nonfinite_forward_ends_diverged(self, monkeypatch):
         model = tiny_model()
         inner = training.molecule_loss
@@ -393,6 +394,7 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             train(model, ds, TrainConfig())
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")     # inf/NaN on purpose
     @pytest.mark.parametrize("eval_every", [1, 100],
                              ids=["periodic_eval", "final_eval"])
     def test_nonfinite_validation_ends_diverged(self, monkeypatch, eval_every):
