@@ -6,7 +6,7 @@ dataset is exactly self-consistent: the forces really are the negative
 gradient of the energy.  The composite loss supervises both at once,
 which requires differentiating through a gradient (double backward).
 
-Takes about a minute on a laptop CPU.
+Takes about 8 s on one core of a 2-CPU VM.
 """
 
 import geoattn as ga

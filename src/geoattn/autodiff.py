@@ -433,12 +433,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.divide(e, den, out=e)
 
 
-def sigmoid(a) -> Tensor:
-    a = _coerce(a)
-    return _with_output_vjp(_node(_sigmoid(a.data), [a], [None]),
-                            lambda g, out: mul(g, mul(out, sub(1.0, out))))
-
-
 def elu(a) -> Tensor:
     """ELU with alpha = 1: x above 0, expm1(x) below, overflow-free."""
     a = _coerce(a)

@@ -94,12 +94,12 @@ def molecule_loss(model: GeoTModel, mol: Molecule, cfg: TrainConfig) -> ad.Tenso
 
 
 class Adam:
-    """Standard Adam (0.9 / 0.999 / 1e-8) with externally supplied step size."""
+    """Standard Adam with externally supplied step size."""
 
-    def __init__(self, params: dict, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.t = 0
@@ -111,7 +111,7 @@ class Adam:
                 raise ad.NonFiniteError(
                     f"non-finite gradient for parameter {name!r} at step {self.t + 1}")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         for name, tensor in self.params.items():
             g = grads[name]
             m = self.m[name]
@@ -120,7 +120,7 @@ class Adam:
             v += (1 - b2) * (g * g - v)
             m_hat = m / (1 - b1 ** self.t)
             v_hat = v / (1 - b2 ** self.t)
-            tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +219,22 @@ def energy_mae(model: GeoTModel, molecules) -> float:
     return float(np.mean(errs))
 
 
+def _batches(molecules: list, cfg: TrainConfig, rng: np.random.Generator):
+    """Batches of ``cfg.batch_size`` molecules (the last of an epoch may be
+    smaller) over ``cfg.max_epochs`` epochs, each in a fresh permutation."""
+    for _epoch in range(cfg.max_epochs):
+        order = rng.permutation(len(molecules))
+        for lo in range(0, len(order), cfg.batch_size):
+            yield [molecules[i] for i in order[lo:lo + cfg.batch_size]]
+
+
 @dataclass
 class TrainResult:
-    model: GeoTModel
     metrics: list = field(default_factory=list)   # (step, split, metric, value)
     best_val_mae: float = np.inf
     best_checkpoint: bytes | None = None
     steps_run: int = 0
-    stopped: str = "max_steps"
+    stopped: str = "max_steps"     # also when the epochs run out
 
     def metrics_csv(self) -> str:
         lines = ["step,split,metric,value"]
@@ -249,7 +257,7 @@ def train(model: GeoTModel, dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     params = model.params()
     opt = Adam(params)
     rng = np.random.default_rng(cfg.seed)
-    result = TrainResult(model=model)
+    result = TrainResult()
 
     def evaluate(step: int) -> bool:
         """Validate, keep the checkpoint if it is the best; True if it is."""
@@ -302,32 +310,20 @@ def train(model: GeoTModel, dataset: Dataset, cfg: TrainConfig) -> TrainResult:
                                   for z, c in zip(elements, coef[1:])}
         model.config.out_scale = float(max(residual.std(), 1e-8))
 
-    step = 0
-    running_loss = 0.0
-
-    def run() -> str:
-        """Steps until a stopping rule fires; returns which one."""
-        nonlocal step, running_loss
-        bad_evals = 0
-        for _epoch in range(cfg.max_epochs):
-            order = rng.permutation(len(train_mols))
-            for lo in range(0, len(order), cfg.batch_size):
-                step += 1
-                running_loss = train_step(
-                    [train_mols[i] for i in order[lo:lo + cfg.batch_size]], step)
-                if step % cfg.eval_every == 0:
-                    result.metrics.append((step, "train", "loss", running_loss))
-                    bad_evals = 0 if evaluate(step) else bad_evals + 1
-                    if bad_evals >= cfg.patience:
-                        return "early_stopping"
-                if 0 < cfg.max_steps <= step:
-                    return "max_steps"
-        return "max_steps"
-
+    step = bad_evals = 0
     try:
-        result.stopped = run()
+        for step, batch in enumerate(_batches(train_mols, cfg, rng), start=1):
+            train_loss = train_step(batch, step)
+            if step % cfg.eval_every == 0:
+                result.metrics.append((step, "train", "loss", train_loss))
+                bad_evals = 0 if evaluate(step) else bad_evals + 1
+                if bad_evals >= cfg.patience:
+                    result.stopped = "early_stopping"
+                    break
+            if 0 < cfg.max_steps <= step:
+                break
         if step % cfg.eval_every != 0:
-            result.metrics.append((step, "train", "loss", running_loss))
+            result.metrics.append((step, "train", "loss", train_loss))
             evaluate(step)
     except ad.NonFiniteError:
         result.stopped = "diverged"

@@ -462,6 +462,20 @@ class TestGradcheckCommand:
         report = force_gradcheck(n_trials=2, seed=0)
         assert not report.passed
 
+    def test_meta_nan_forces_fail(self, monkeypatch):
+        # NaN is not below the threshold: a NaN error in any trial fails the check
+        inner = GeoTModel.forces
+        calls = []
+
+        def nan_in_second_trial(model, mol):
+            calls.append(1)
+            return inner(model, mol) * (np.nan if len(calls) == 2 else 1.0)
+
+        monkeypatch.setattr(GeoTModel, "forces", nan_in_second_trial)
+        report = force_gradcheck(n_trials=3, seed=0)
+        assert np.isnan(report.per_trial[1]) and np.isnan(report.max_rel_error)
+        assert not report.passed
+
 
 class TestAblateCommand:
     def test_three_rows(self, tiny_run):

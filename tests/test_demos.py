@@ -1,4 +1,4 @@
-"""The fast demos run in-process against the public API."""
+"""The demos run in-process against the public API."""
 
 import runpy
 from pathlib import Path
@@ -9,6 +9,8 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 @pytest.mark.parametrize("name", ["01_energy_and_forces.py",
+                                  pytest.param("02_train_on_morse.py",
+                                               marks=pytest.mark.slow),
                                   "03_attention_vs_distance.py",
                                   "04_basis_families.py"])
 def test_demo_runs(name, capsys):

@@ -344,6 +344,32 @@ class TestTrainLoop:
         init = res.metrics[0][3]
         assert res.best_val_mae < init
 
+    def test_patience_stops_a_run_that_does_not_improve(self):
+        # lr 1e-30 leaves every parameter bit unchanged, so the step-2
+        # validation MAE equals the step-0 one and is no improvement
+        res = train(tiny_model(), tiny_dataset(), TrainConfig(
+            lr=1e-30, batch_size=4, max_epochs=2, eval_every=2, patience=1,
+            normalize_targets=False))
+        assert (res.stopped, res.steps_run) == ("early_stopping", 2)
+        assert [m[:2] for m in res.metrics] == [(0, "val"), (2, "train"), (2, "val")]
+
+    def test_running_out_of_epochs_stops_with_max_steps(self):
+        data = tiny_dataset()
+        res = train(tiny_model(), data, TrainConfig(
+            batch_size=4, max_epochs=2, max_steps=0, eval_every=100, patience=100))
+        n_train = len(data.splits["train"])
+        assert res.stopped == "max_steps"
+        assert res.steps_run == 2 * -(-n_train // 4) == 6
+        assert [m[:2] for m in res.metrics] == [(0, "val"), (6, "train"), (6, "val")]
+
+    def test_off_boundary_max_steps_ends_with_one_train_and_one_val_row(self):
+        res = train(tiny_model(), tiny_dataset(), TrainConfig(
+            batch_size=4, max_steps=5, eval_every=2, patience=100))
+        assert (res.stopped, res.steps_run) == ("max_steps", 5)
+        assert [m[:2] for m in res.metrics] == [
+            (0, "val"), (2, "train"), (2, "val"), (4, "train"), (4, "val"),
+            (5, "train"), (5, "val")]
+
     def test_metrics_csv_shape(self):
         model = tiny_model()
         res = train(model, tiny_dataset(), TrainConfig(
