@@ -275,14 +275,29 @@ def put_rows(g, idx, n_rows: int) -> Tensor:
 
 
 class PairIndex(NamedTuple):
-    """The M = N(N+1)/2 pairs i <= j of N atoms: the off-diagonal pairs
-    (i < j) first, then the N diagonal pairs in atom order."""
+    """The M pairs i <= j of the atoms of one molecule, or of a group of
+    molecules whose atom rows are stacked in order: every off-diagonal pair
+    (i < j) first, then every diagonal pair in row order.  One molecule is
+    laid out N x N; a group B x N_max x N_max, where the slots past a
+    molecule's atoms hold M, the zero row :func:`expand_pairs` appends."""
 
-    i: np.ndarray        # (M,) first atom of each pair
-    j: np.ndarray        # (M,) second atom
-    index: np.ndarray    # (N, N) pair of (a, b), the same as of (b, a)
-    upper: np.ndarray    # (M,) flat N x N position i*N + j
-    lower: np.ndarray    # (M - N,) flat position j*N + i of the off-diagonal pairs
+    i: np.ndarray        # (M,) first atom row of each pair
+    j: np.ndarray        # (M,) second atom row
+    index: np.ndarray    # (N, N) or (B, N_max, N_max): pair of (a, b), the same as of (b, a)
+    upper: np.ndarray    # (M,) flat position of (i, j) in that layout
+    lower: np.ndarray    # (M - N,) flat position of (j, i) of the off-diagonal pairs
+    rows: np.ndarray     # (N,) flat position of each atom in the layout's leading axes
+
+    @property
+    def padded(self) -> bool:
+        """Whether the layout has slots past some molecule's atoms."""
+        return len(self.rows) < self.index.size // self.index.shape[-1]
+
+
+def _read_only(pairs: PairIndex) -> PairIndex:
+    for arr in pairs:
+        arr.flags.writeable = False
+    return pairs
 
 
 @functools.lru_cache(maxsize=256)
@@ -294,25 +309,47 @@ def pair_index(n: int) -> PairIndex:
     i, j = np.concatenate([off_i, atoms]), np.concatenate([off_j, atoms])
     index = np.empty((n, n), dtype=np.intp)
     index[i, j] = index[j, i] = np.arange(len(i))
-    pairs = PairIndex(i, j, index, i * n + j, off_j * n + off_i)
-    for arr in pairs:
-        arr.flags.writeable = False
-    return pairs
+    return _read_only(PairIndex(i, j, index, i * n + j, off_j * n + off_i, atoms))
+
+
+@functools.lru_cache(maxsize=1024)
+def group_pairs(sizes: tuple) -> PairIndex:
+    """The pairs of a group of molecules of ``sizes`` atoms, each molecule's
+    pairs shifted by its first row; one molecule's are :func:`pair_index`.
+    Built once per size tuple, read-only."""
+    if len(sizes) == 1:
+        return pair_index(sizes[0])
+    n_max = max(sizes)
+    first = np.cumsum((0,) + sizes[:-1])
+    segment = np.repeat(np.arange(len(sizes)), sizes)       # molecule of each row
+    atoms = np.arange(len(segment))
+    local = atoms - first[segment]
+    off = [(pair_index(n), n, f) for n, f in zip(sizes, first)]
+    i = np.concatenate([p.i[:len(p.i) - n] + f for p, n, f in off] + [atoms])
+    j = np.concatenate([p.j[:len(p.j) - n] + f for p, n, f in off] + [atoms])
+    m, mol, li, lj = len(i), segment[i], local[i], local[j]
+    index = np.full((len(sizes), n_max, n_max), m, dtype=np.intp)
+    index[mol, li, lj] = index[mol, lj, li] = np.arange(m)
+    upper = (mol * n_max + li) * n_max + lj
+    lower = ((mol * n_max + lj) * n_max + li)[:m - len(atoms)]
+    return _read_only(PairIndex(i, j, index, upper, lower, segment * n_max + local))
 
 
 def expand_pairs(u, pairs: PairIndex) -> Tensor:
-    """Symmetric N x N x ... layout of per-pair rows: out[a, b] = u[pair(a, b)].
-    Backward folds."""
+    """The pair layout of per-pair rows: out[a, b] = u[pair(a, b)], and 0 in
+    padded slots.  Backward folds."""
     u = _coerce(u)
-    return _node(u.data[pairs.index], [u], [lambda g: fold_pairs(g, pairs)])
+    data = u.data
+    if pairs.padded:
+        data = np.concatenate([data, np.zeros((1,) + data.shape[1:])])
+    return _node(data[pairs.index], [u], [lambda g: fold_pairs(g, pairs)])
 
 
 def fold_pairs(g, pairs: PairIndex) -> Tensor:
     """Adjoint of :func:`expand_pairs`: row k = g[i, j] + g[j, i] for the
     pair k = (i, j), and g[i, i] on the diagonal.  Backward expands."""
     g = _coerce(g)
-    n = g.shape[0]
-    flat = g.data.reshape((n * n,) + g.shape[2:])
+    flat = g.data.reshape((-1,) + g.shape[pairs.index.ndim:])
     data = flat[pairs.upper]
     data[:len(pairs.lower)] += flat[pairs.lower]
     return _node(data, [g], [lambda gg: expand_pairs(gg, pairs)])
@@ -325,7 +362,12 @@ def add_pair_sum(x, p, pairs: PairIndex) -> Tensor:
 
     def back_p(g):
         # atom a collects every pair it is in, its diagonal pair twice
-        return add(tensor_sum(expand_pairs(g, pairs), axis=1), slice_axis(g, 0, m - n, m))
+        per_atom = tensor_sum(expand_pairs(g, pairs), axis=-2)
+        if per_atom.ndim > g.ndim:      # a group's B x N_max slots, back to atom rows
+            per_atom = reshape(per_atom, (-1,) + g.shape[1:])
+            if pairs.padded:
+                per_atom = take_rows(per_atom, pairs.rows)
+        return add(per_atom, slice_axis(g, 0, m - n, m))
 
     data = p.data[pairs.i]
     data += p.data[pairs.j]     # before x, so swapping i and j changes no bit

@@ -112,15 +112,20 @@ def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     with open(args.data) as fh:
         mols = parse_xyz_frames(fh.read())
+    forced = [m for m in mols if m.forces is not None]
+    scored = [m for m in mols if m.forces is None and m.energy is not None]
+    # predictions in frame order, small frames several to a graph
+    forced_out = iter(model.energies_and_forces(forced) if forced else [])
+    scored_out = iter(model.energies(scored) if scored else [])
     errors = {"energy": [], "forces": []}      # one entry per labeled frame
     for m in mols:
         if m.forces is not None:
-            energy, pred = model.energy_and_forces(m)
+            energy, pred = next(forced_out)
             if model.config.force_sign == "paper":
                 pred = -pred     # labels are physical forces
             errors["forces"].append(np.mean(np.abs(pred - m.forces)))
         elif m.energy is not None:
-            energy = model.energy(m)
+            energy = next(scored_out)
         if m.energy is not None:
             errors["energy"].append(abs(energy - m.energy))
     rows = [(t, float(np.mean(errs)), len(errs)) for t, errs in errors.items() if errs]
@@ -140,11 +145,8 @@ def cmd_forces(args) -> int:
     model.config.force_sign = args.sign
     with open(args.xyz) as fh:
         mols = parse_xyz_frames(fh.read())
-    out_mols = []
-    for mol in mols:
-        energy, forces = model.energy_and_forces(mol)
-        out_mols.append(Molecule(mol.atomic_numbers, mol.coords,
-                                 energy=energy, forces=forces))
+    out_mols = [Molecule(mol.atomic_numbers, mol.coords, energy=energy, forces=forces)
+                for mol, (energy, forces) in zip(mols, model.energies_and_forces(mols))]
     text = write_xyz_frames(out_mols)
     if args.out:
         Path(args.out).write_text(text)

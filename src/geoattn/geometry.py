@@ -206,8 +206,9 @@ def expand_basis(r: ad.Tensor, cfg: BasisConfig, params: KernelParams | None) ->
 
 @dataclass
 class PairGeometry:
-    """What the kernels of all layers share for one molecule: the i <= j
-    pairs, their distances and, for the parameter-free bases, their basis."""
+    """What the kernels of all layers share for one molecule or group: the
+    i <= j pairs, their distances and, for the parameter-free bases, their
+    basis."""
 
     pairs: ad.PairIndex
     r: ad.Tensor                 # (M,)
@@ -228,7 +229,9 @@ def kernel_tensor(params: KernelParams, cfg: BasisConfig, geo: PairGeometry,
     construction.  In atom-aware mode the first layer's weights split by rows
     into basis rows W_r and code rows W_z; the code Z(z_i) + Z(z_j) and the
     bias b1 then enter as P_i + P_j with the per-atom term P = Z(z) W_z + b1/2,
-    which equals [g; Z(z_i) + Z(z_j)] W1 + b1 by linearity.
+    which equals [g; Z(z_i) + Z(z_j)] W1 + b1 by linearity.  A group's kernel
+    (``geo.pairs`` from :func:`autodiff.group_pairs`, ``atomic_numbers`` of
+    its stacked rows) is B x N_max x N_max x d_m, exactly 0 in the padding.
     """
     g = geo.basis if geo.basis is not None else expand_basis(geo.r, cfg, params)
     if params.embed is None:

@@ -20,16 +20,17 @@ THRESHOLD = 1e-4    # largest relative force error that passes
 
 def finite_diff_forces(model: GeoTModel, mol: Molecule) -> np.ndarray:
     """Central finite differences of the energy, as forces in the model's
-    configured sign convention."""
-    grad = np.zeros_like(mol.coords)
+    configured sign convention.  The 6N displaced copies are scored in
+    groups (see :meth:`GeoTModel.energies`)."""
+    copies = []
     for i in range(mol.coords.shape[0]):
         for k in range(3):
-            plus = mol.coords.copy()
-            minus = mol.coords.copy()
-            plus[i, k] += H
-            minus[i, k] -= H
-            grad[i, k] = (model.energy(Molecule(mol.atomic_numbers, plus))
-                          - model.energy(Molecule(mol.atomic_numbers, minus))) / (2.0 * H)
+            for step in (H, -H):
+                coords = mol.coords.copy()
+                coords[i, k] += step
+                copies.append(Molecule(mol.atomic_numbers, coords))
+    plus, minus = model.energies(copies).reshape(-1, 2).T
+    grad = ((plus - minus) / (2.0 * H)).reshape(mol.coords.shape)
     return grad if model.config.force_sign == "paper" else -grad
 
 

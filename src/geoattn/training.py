@@ -17,7 +17,7 @@ from . import autodiff as ad
 from .data import Dataset
 from .errors import ConfigError, DataError
 from .geometry import Molecule, random_coords
-from .model import GeoTModel, checkpoint_bytes
+from .model import GeoTModel, checkpoint_bytes, groups
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -62,31 +62,58 @@ def lr_schedule(step: int, cfg: TrainConfig) -> float:
 # losses
 
 
-def composite_loss(e_label: float, e_hat: ad.Tensor, de_dr_label: np.ndarray,
-                   coords: ad.Tensor, weight: float) -> ad.Tensor:
+def composite_loss(e_label: float, e_hat: ad.Tensor, de_dr_label: np.ndarray, *,
+                   de_dr: ad.Tensor, weight: float) -> ad.Tensor:
     """|E - Ê| + weight * sum_j |dE/dr_j - dÊ/dr_j|.
 
     ``de_dr_label`` is the energy-gradient label, i.e. the *negative* of the
-    physical force.  The force term sums over atoms and components.
+    physical force, and ``de_dr`` the predicted gradient dÊ/dr, taken with
+    ``create_graph`` so that the loss differentiates w.r.t. the parameters.
+    The force term sums over atoms and components.
     """
     if de_dr_label is None:
         raise ConfigError("composite loss requires force labels")
-    (de_dr,) = ad.grad(e_hat, [coords], create_graph=True)
     energy_term = ad.absolute(ad.sub(e_hat, e_label))
     force_term = ad.tensor_sum(ad.absolute(ad.sub(de_dr, de_dr_label)))
     return ad.add(energy_term, ad.mul(force_term, weight))
 
 
-def molecule_loss(model: GeoTModel, mol: Molecule, cfg: TrainConfig) -> ad.Tensor:
+def molecule_loss(model: GeoTModel, mol: Molecule, cfg: TrainConfig,
+                  parts: "tuple[ad.Tensor, ad.Tensor | None] | None" = None) -> ad.Tensor:
+    """The loss of one molecule.  ``parts`` are its energy and energy-gradient
+    rows (None without a force term) from the graph of the group it ran in
+    (see :func:`group_losses`); without them it runs as a group of one."""
     if mol.energy is None:
         raise DataError("molecule has no energy label")
-    e_hat, coords = model.forward_parts(mol)
-    if cfg.use_forces and mol.forces is not None:
+    forces = cfg.use_forces and mol.forces is not None
+    if parts is None:
+        e_hat, coords = model.forward_parts(mol)
+        parts = e_hat, ad.grad(e_hat, [coords], create_graph=True)[0] if forces else None
+    e_hat, de_dr = parts
+    if forces:
         # dataset forces are physical (F = -grad E); the loss compares
         # energy gradients, so flip the sign of the label
-        return composite_loss(mol.energy, e_hat, -mol.forces, coords,
-                              cfg.force_weight)
+        return composite_loss(mol.energy, e_hat, -mol.forces,
+                              de_dr=de_dr, weight=cfg.force_weight)
     return ad.absolute(ad.sub(e_hat, mol.energy))
+
+
+def group_losses(model: GeoTModel, group: list, cfg: TrainConfig) -> list:
+    """The loss of each molecule of ``group`` from one graph: one forward and,
+    for the force terms, one gradient of the summed energies w.r.t. the
+    stacked coordinates; each loss is ``molecule_loss`` of that molecule's
+    energy and gradient rows."""
+    energies, coords = model.forward_parts(group)
+    de_dr = None
+    if cfg.use_forces and any(mol.forces is not None for mol in group):
+        (de_dr,) = ad.grad(ad.tensor_sum(energies), [coords], create_graph=True)
+    losses, lo = [], 0
+    for b, mol in enumerate(group):
+        e_hat = ad.reshape(ad.slice_axis(energies, 0, b, b + 1), ())
+        rows = None if de_dr is None else ad.slice_axis(de_dr, 0, lo, lo + mol.n_atoms)
+        losses.append(molecule_loss(model, mol, cfg, (e_hat, rows)))
+        lo += mol.n_atoms
+    return losses
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +242,7 @@ def training_splits(dataset: Dataset) -> list:
 def energy_mae(model: GeoTModel, molecules) -> float:
     if not molecules:
         raise ConfigError("cannot evaluate on an empty set")
-    errs = [abs(model.energy(m) - m.energy) for m in molecules]
+    errs = [abs(e - m.energy) for e, m in zip(model.energies(molecules), molecules)]
     return float(np.mean(errs))
 
 
@@ -270,13 +297,16 @@ def train(model: GeoTModel, dataset: Dataset, cfg: TrainConfig) -> TrainResult:
         return False
 
     def train_step(batch: list, step: int) -> float:
-        """One optimiser step on the batch; returns its mean loss."""
+        """One optimiser step on the batch, one graph and one parameter sweep
+        per group of it; returns its mean loss."""
         grads = {name: np.zeros_like(t.data) for name, t in params.items()}
         batch_loss = 0.0
-        for mol in batch:
-            loss = molecule_loss(model, mol, cfg)
-            batch_loss += loss.item()
-            for name, g in zip(params, ad.grad(loss, params.values(),
+        for group in groups(batch):
+            total = None
+            for loss in group_losses(model, group, cfg):
+                batch_loss += loss.item()
+                total = loss if total is None else ad.add(total, loss)
+            for name, g in zip(params, ad.grad(total, params.values(),
                                                create_graph=False)):
                 grads[name] += g.data
         batch_loss /= len(batch)

@@ -19,7 +19,7 @@ from geoattn.geometry import (BasisConfig, Molecule, bessel_basis,
                               gaussian_basis, init_kernel_params,
                               kernel_tensor, pair_geometry, pairwise_distances)
 from geoattn.gradcheck import force_gradcheck, random_molecule
-from geoattn.model import GeoTModel, ModelConfig, load_checkpoint
+from geoattn.model import GeoTModel, ModelConfig, load_checkpoint, stack
 from geoattn.training import (SyntheticSpec, TrainConfig, generate_synthetic,
                               molecule_loss, train)
 from conftest import HEADLINES
@@ -55,7 +55,7 @@ def test_01_force_gradient_oracle():
 
 def features(model, mol):
     """Per-atom feature matrix (N x d_m) after the last encoder block."""
-    return model._encode(mol, ad.constant(mol.coords), None).data
+    return model._encode(stack([mol]), ad.constant(mol.coords), None).data
 
 
 def test_02_symmetry_suite():

@@ -336,16 +336,16 @@ class TestTrainCommand:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")     # inf/NaN on purpose
     def test_diverged_run_keeps_artifacts(self, tiny_run, monkeypatch):
         cfg, tmp_path = tiny_run
-        inner = training.molecule_loss
-        calls = []
+        inner = training.group_losses
+        sizes = []
 
-        def faulty(model, mol, train_cfg):
-            calls.append(1)
-            if len(calls) == 5:          # first molecule of step 2
-                model.layers[0].ffn_b1.data[0] = np.inf
-            return inner(model, mol, train_cfg)
+        def faulty(*args, **kwargs):
+            if sum(sizes) == 4:          # first group of step 2, before its forward
+                args[0].layers[0].ffn_b1.data[0] = np.inf
+            sizes.append(len(args[1]))
+            return inner(*args, **kwargs)
 
-        monkeypatch.setattr(training, "molecule_loss", faulty)
+        monkeypatch.setattr(training, "group_losses", faulty)
         assert main(["train", str(cfg)]) == 1
         out = tmp_path / "out"
         assert (out / "metrics.csv").exists()
@@ -438,6 +438,25 @@ class TestForcesCommand:
         mb = parse_xyz_frames(fb.read_text())[0]
         np.testing.assert_allclose(ma.forces, -mb.forces, atol=1e-12)
         assert ma.energy == mb.energy
+
+    def test_frames_in_groups_match_one_by_one(self, tiny_run, tmp_path):
+        # small frames run several to a graph; the output keeps frame order
+        out = train_once(tiny_run)
+        model = load_checkpoint(out / "final.npz")
+        rng = np.random.default_rng(3)
+        mols = [Molecule(z, 1.1 * np.arange(len(z))[:, None] * [1, 0, 0]
+                         + 0.1 * rng.normal(size=(len(z), 3)))
+                for z in ([1, 6], [8, 1, 1], [6, 6, 1, 1, 1], [1, 8])]
+        xyz, res = tmp_path / "in.xyz", tmp_path / "out.xyz"
+        xyz.write_text(write_xyz_frames(mols))
+        assert main(["forces", str(out / "final.npz"), str(xyz), "--out", str(res)]) == 0
+        got = parse_xyz_frames(res.read_text())
+        assert len(got) == len(mols)
+        for g, m in zip(got, mols):
+            e, f = model.energy_and_forces(m)
+            np.testing.assert_array_equal(g.coords, m.coords)
+            assert g.energy == pytest.approx(e, rel=1e-10)
+            np.testing.assert_allclose(g.forces, f, rtol=1e-10, atol=1e-12)
 
 
 class TestGradcheckCommand:

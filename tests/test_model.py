@@ -10,10 +10,10 @@ import pytest
 
 from geoattn import autodiff as ad
 from geoattn import training
-from geoattn.errors import ConfigError
+from geoattn.errors import ConfigError, DataError
 from geoattn.geometry import BasisConfig, Molecule
-from geoattn.model import (GeoTModel, ModelConfig, checkpoint_bytes, ffn,
-                           load_checkpoint, save_checkpoint)
+from geoattn.model import (PAIR_BUDGET, GeoTModel, ModelConfig, checkpoint_bytes,
+                           ffn, groups, load_checkpoint, save_checkpoint)
 from conftest import held_arrays, numeric_grad, rel_err, tracked_nodes
 
 
@@ -494,3 +494,162 @@ class TestCheckpoints:
         np.savez(path, **arrays)
         with pytest.raises(ConfigError, match="layer0.attn.wq"):
             load_checkpoint(path)
+
+
+def padded_pairs(mols):
+    n_max = max(m.n_atoms for m in mols)
+    return len(mols) * n_max * (n_max + 1) // 2
+
+
+class TestGrouping:
+    def test_groups_keep_order_and_never_split(self, rng):
+        mols = [random_molecule(rng, int(n)) for n in rng.integers(1, 26, 40)]
+        out = groups(mols)
+        assert [m for g in out for m in g] == mols
+        assert all(g for g in out)
+        for g, after in zip(out, out[1:]):
+            # a group closes only where the next molecule would not fit
+            assert padded_pairs(g) <= PAIR_BUDGET < padded_pairs(g + after[:1])
+
+    def test_molecule_above_the_budget_is_a_group_of_one(self, rng):
+        big = random_molecule(rng, 34)
+        assert padded_pairs([big]) > PAIR_BUDGET
+        small = [random_molecule(rng, 3) for _ in range(4)]
+        out = groups(small[:2] + [big] + small[2:])
+        assert out == [small[:2], [big], small[2:]]
+
+    def test_large_molecule_is_not_padded_with_small_ones(self, rng):
+        # ten 3-atom molecules after a 30-atom one would be 11 slots of 30^2
+        big = random_molecule(rng, 30)
+        small = [random_molecule(rng, 3) for _ in range(10)]
+        assert groups([big] + small) == [[big], small]
+        assert groups(small + [big]) == [small, [big]]
+
+    def test_budget_groups_small_batches_and_isolates_large_molecules(self):
+        # a batch of four 8-atom molecules is one group; two of 24 atoms are not
+        assert 4 * 36 <= PAIR_BUDGET < 2 * 300
+
+    def test_empty_list_refused(self):
+        with pytest.raises(DataError, match="no molecules"):
+            groups([])
+
+
+def group_results(model, mols, cfg):
+    """Energies, forces, losses and parameter gradients of ``mols`` run as
+    one group."""
+    energies, coords = model.forward_parts(mols)
+    (de_dr,) = ad.grad(ad.tensor_sum(energies), [coords], create_graph=False)
+    losses = training.group_losses(model, mols, cfg)
+    total = losses[0]
+    for loss in losses[1:]:
+        total = ad.add(total, loss)
+    params = model.params()
+    grads = ad.grad(total, params.values(), create_graph=False)
+    cut = np.cumsum([m.n_atoms for m in mols])[:-1]
+    return (energies.data, np.split(de_dr.data, cut), [t.item() for t in losses],
+            dict(zip(params, (g.data for g in grads))))
+
+
+def single_results(model, mols, cfg):
+    """The same, each molecule a group of one."""
+    params = model.params()
+    grads = {name: 0.0 for name in params}
+    losses = []
+    for mol in mols:
+        loss = training.molecule_loss(model, mol, cfg)
+        losses.append(loss.item())
+        for name, g in zip(params, ad.grad(loss, params.values(), create_graph=False)):
+            grads[name] = grads[name] + g.data
+    return (np.array([model.energy(m) for m in mols]), [model.forces(m) for m in mols],
+            losses, grads)
+
+
+def flat(grads):
+    return np.concatenate([np.ravel(g) for g in grads.values()])
+
+
+def assert_close(got, want, tol=1e-10):
+    # gradients relative to the largest entry of any parameter: some arrays'
+    # gradients are zero up to rounding
+    assert rel_err(flat(got[3]), flat(want[3])) <= tol
+    assert rel_err(got[0], want[0]) <= tol
+    assert rel_err(np.array(got[2]), np.array(want[2])) <= tol
+    for f, w in zip(got[1], want[1]):
+        assert rel_err(f, w) <= tol
+
+
+GRID = [dict(basis=BasisConfig(kind=kind, n_basis=8), block_kind=block,
+             kernel_mode=mode, use_attn_scale=scale)
+        for kind in ("gaussian", "bessel", "linear")
+        for block in ("sequential", "parallel_mlp")
+        for mode in ("plain", "atom_aware")
+        for scale in (False, True)]
+GRID += [dict(use_softmax_baseline=True, block_kind=block)
+         for block in ("sequential", "parallel_mlp")]
+
+
+class TestGroupEquivalence:
+    """A group gives each molecule the results it has as a group of one."""
+
+    @pytest.mark.parametrize("over", GRID, ids=lambda o: "-".join(
+        str(v.kind if isinstance(v, BasisConfig) else v) for v in o.values()))
+    def test_group_matches_groups_of_one(self, rng, over):
+        model = GeoTModel.init(small_config(**over), seed=0)
+        for layer in model.layers:
+            if layer.attn.w_a is not None:
+                layer.attn.w_a.data = np.array(0.3)
+        cfg = training.TrainConfig(force_weight=10.0)
+        # padded (mixed sizes), unpadded (equal sizes) and a list of one
+        for sizes in [(3, 6, 2, 5), (4, 4), (5,), (1, 4, 3)]:
+            mols = [Molecule(m.atomic_numbers, m.coords, energy=float(rng.normal()),
+                             forces=rng.normal(size=(m.n_atoms, 3)))
+                    for m in (random_molecule(rng, n) for n in sizes)]
+            assert_close(group_results(model, mols, cfg), single_results(model, mols, cfg))
+
+    def test_reordering_a_group_moves_no_result(self, rng):
+        model = GeoTModel.init(small_config(use_attn_scale=True), seed=0)
+        mols = [labeled(random_molecule(rng, n)) for n in (2, 6, 4, 5)]
+        cfg = training.TrainConfig(force_weight=10.0)
+        base = group_results(model, mols, cfg)
+        perm = [2, 0, 3, 1]
+        moved = group_results(model, [mols[k] for k in perm], cfg)
+        np.testing.assert_allclose(moved[0], base[0][perm], rtol=1e-10, atol=0)
+        np.testing.assert_allclose(moved[2], np.array(base[2])[perm], rtol=1e-10, atol=0)
+        for k, f in zip(perm, moved[1]):
+            assert rel_err(f, base[1][k]) <= 1e-10
+        assert rel_err(flat(moved[3]), flat(base[3])) <= 1e-10
+
+    def test_padded_kernel_and_attention_are_zero(self, rng):
+        model = GeoTModel.init(small_config(use_attn_scale=True), seed=0)
+        for layer in model.layers:
+            layer.attn.w_a.data = np.array(0.3)
+        trace = []
+        model.forward_parts([random_molecule(rng, n) for n in (2, 5, 3)], trace=trace)
+        real = np.zeros((3, 5), dtype=bool)
+        for b, n in enumerate((2, 5, 3)):
+            real[b, :n] = True
+        pad = ~(real[:, :, None] & real[:, None, :])
+        for rec in trace:
+            assert rec.logits.shape == (3, 5, 5, 2)
+            assert np.all(rec.logits[pad] == 0.0) and np.all(rec.logits[~pad] != 0.0)
+
+    def test_energies_match_energy(self, rng):
+        model = GeoTModel.init(small_config(), seed=0)
+        mols = [random_molecule(rng, int(n)) for n in rng.integers(2, 9, 30)]
+        want = np.array([model.energy(m) for m in mols])
+        assert len(groups(mols)) > 1
+        assert rel_err(model.energies(mols), want) <= 1e-10
+
+    @pytest.mark.parametrize("sign", ["paper", "physical"])
+    def test_energies_and_forces_match_energy_and_forces(self, rng, sign):
+        model = GeoTModel.init(small_config(force_sign=sign), seed=0)
+        # small molecules in groups, and a 34-atom one as a group of one
+        mols = [random_molecule(rng, n) for n in (3, 6, 2, 34, 5, 4)]
+        assert [len(g) for g in groups(mols)] == [3, 1, 2]
+        got = model.energies_and_forces(mols)
+        assert len(got) == len(mols)
+        for mol, (e, f) in zip(mols, got):
+            want_e, want_f = model.energy_and_forces(mol)
+            assert isinstance(e, float) and f.shape == (mol.n_atoms, 3)
+            assert rel_err(np.array(e), np.array(want_e)) <= 1e-10
+            assert rel_err(f, want_f) <= 1e-10

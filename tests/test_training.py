@@ -5,10 +5,10 @@ import pytest
 
 from geoattn import autodiff as ad
 from geoattn import training
-from geoattn.data import split_dataset
+from geoattn.data import Dataset, split_dataset
 from geoattn.errors import ConfigError, DataError
 from geoattn.geometry import BasisConfig, Molecule
-from geoattn.model import GeoTModel, ModelConfig, load_checkpoint
+from geoattn.model import GeoTModel, ModelConfig, groups, load_checkpoint
 from geoattn.training import (Adam, SyntheticSpec, TrainConfig, composite_loss,
                               default_morse_table, energy_mae,
                               generate_synthetic, lr_schedule,
@@ -65,13 +65,14 @@ class TestLosses:
         x = ad.parameter(3.0)
         e = ad.square(x)
         for w in (0.0, 1.0, 1000.0):
-            loss = composite_loss(4.0, e, np.array(1.0), x, w)
+            (de_dx,) = ad.grad(e, [x])
+            loss = composite_loss(4.0, e, np.array(1.0), de_dr=de_dx, weight=w)
             assert loss.item() == pytest.approx(5.0 + 5.0 * w, abs=1e-10)
 
     def test_composite_requires_force_labels(self):
         x = ad.parameter(1.0)
         with pytest.raises(ConfigError):
-            composite_loss(0.0, ad.square(x), None, x, 1.0)
+            composite_loss(0.0, ad.square(x), None, de_dr=x, weight=1.0)
 
     def test_composite_parameter_gradient_vs_fd(self, rng):
         # double-backward check on the full model path
@@ -394,22 +395,24 @@ class TestTrainLoop:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")     # inf/NaN on purpose
     def test_nonfinite_forward_ends_diverged(self, monkeypatch):
         model = tiny_model()
-        inner = training.molecule_loss
-        calls, before = [], {}
+        inner = training.group_losses
+        sizes, before = [], {}
 
-        def faulty(net, mol, cfg):
-            calls.append(1)
-            if len(calls) == 5:          # first molecule of step 2
+        def faulty(*args, **kwargs):
+            if sum(sizes) == 4:          # first group of step 2, before its forward
+                net = args[0]
                 net.layers[0].ffn_b1.data[0] = np.inf
                 before.update({k: t.data.copy() for k, t in net.params().items()})
-            return inner(net, mol, cfg)
+            sizes.append(len(args[1]))
+            return inner(*args, **kwargs)
 
-        monkeypatch.setattr(training, "molecule_loss", faulty)
+        monkeypatch.setattr(training, "group_losses", faulty)
         res = train(model, tiny_dataset(), TrainConfig(
             batch_size=4, max_steps=3, eval_every=1, patience=100))
         assert res.stopped == "diverged"
         assert res.best_checkpoint is not None
         assert before
+        assert sizes == [4, 4]       # the fault ran through a group of four
         for k, t in model.params().items():
             np.testing.assert_array_equal(t.data, before[k])
 
@@ -464,6 +467,77 @@ class TestTrainLoop:
     def test_energy_mae_empty(self):
         with pytest.raises(ConfigError):
             energy_mae(tiny_model(), [])
+
+
+# the train-morse-small benchmark: 2 layers, d_m 32, 4-8 carbon atoms, batch 4
+SMALL_ARCH = dict(n_layers=2, d_m=32, n_heads=4, d_h=64,
+                  basis=BasisConfig(n_basis=64), d_rbf=32, d_emb2=16)
+
+
+def small_morse_run(steps=3):
+    """``steps`` batches of 4 small Morse molecules, then 4 for validation."""
+    data = generate_synthetic(SyntheticSpec(
+        n_molecules=4 * steps + 4, min_atoms=4, max_atoms=8, box=4.0, elements=(6,),
+        pair_params={(6, 6): (2.0, 0.7, 1.6)}), seed=3)
+    n = 4 * steps
+    dataset = Dataset(molecules=data.molecules, target_name="morse_energy",
+                      splits={"train": np.arange(n), "val": np.arange(n, n + 4)})
+    return dataset, TrainConfig(lr=1e-3, warmup_steps=5, batch_size=4, max_steps=steps,
+                                eval_every=10, patience=100, seed=3)
+
+
+class TestBatchedSteps:
+    """A training step runs each group of its batch as one graph."""
+
+    def test_benchmark_loss_hook_sees_every_molecule(self):
+        dataset, cfg = small_morse_run()
+
+        def run():
+            # the hook of perfbench's TrainWorkload.run_round
+            model = GeoTModel.init(ModelConfig(**SMALL_ARCH), seed=1)
+            losses = []
+            inner = training.molecule_loss
+
+            def recorded(*args, **kwargs):
+                loss = inner(*args, **kwargs)
+                losses.append(loss.item())
+                return loss
+
+            training.molecule_loss = recorded
+            try:
+                result = train(model, dataset, cfg)
+            finally:
+                training.molecule_loss = inner
+            assert (result.steps_run, result.stopped) == (3, "max_steps")
+            return model, losses
+
+        model, losses = run()
+        assert len(losses) == 12 and np.all(np.isfinite(losses))
+        assert run()[1] == losses
+        # step 1 ran on the initial parameters, after the target normalization
+        fresh = GeoTModel.init(ModelConfig(**SMALL_ARCH), seed=1)
+        fresh.config = model.config
+        batch = next(training._batches(dataset.subset("train"), cfg,
+                                       np.random.default_rng(cfg.seed)))
+        alone = [molecule_loss(fresh, mol, cfg).item() for mol in batch]
+        np.testing.assert_allclose(losses[:4], alone, rtol=1e-10, atol=0)
+
+    def test_one_forward_per_group(self, monkeypatch):
+        dataset, cfg = small_morse_run()
+        inner = GeoTModel.forward_parts
+        seen = []
+
+        def counted(model, molecules, trace=None):
+            seen.append(molecules)
+            return inner(model, molecules, trace)
+
+        monkeypatch.setattr(GeoTModel, "forward_parts", counted)
+        train(GeoTModel.init(ModelConfig(**SMALL_ARCH), seed=1), dataset, cfg)
+        val = dataset.subset("val")
+        assert groups(val) == [val]
+        # validation at steps 0 and 3, one training group per step
+        assert [len(m) for m in seen] == [4] * 5
+        assert seen[0] == seen[-1] == val
 
 
 class TestCompositionBaseline:
