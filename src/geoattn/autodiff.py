@@ -97,7 +97,8 @@ class Tensor:
         return self.data.size
 
     def item(self) -> float:
-        return float(self.data)
+        """The value of a one-element tensor, of any shape, as a float."""
+        return self.data.item()
 
     def __repr__(self):
         tag = "node" if self._node is not None else "param" if self.requires_grad else "const"
@@ -235,10 +236,13 @@ def tensor_sum(a, axis=None, keepdims=False) -> Tensor:
 
 
 def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
+    """``a[start:stop]`` along ``axis``; the whole axis is ``a`` itself."""
     a = _coerce(a)
+    total = a.shape[axis]
+    if start == 0 and stop == total:
+        return a
     idx = [slice(None)] * a.ndim
     idx[axis] = slice(start, stop)
-    total = a.shape[axis]
 
     def back(g):
         return pad_axis(g, axis, start, total - stop)
@@ -312,7 +316,10 @@ def pair_index(n: int) -> PairIndex:
     return _read_only(PairIndex(i, j, index, i * n + j, off_j * n + off_i, atoms))
 
 
-@functools.lru_cache(maxsize=1024)
+# Room for the groups that repeat: a validation set's, the gradcheck's
+# copies' and the 26 of a train-morse-small benchmark round.  Training groups
+# of many molecules hardly ever repeat, and one of 16 holds about 19 kB.
+@functools.lru_cache(maxsize=64)
 def group_pairs(sizes: tuple) -> PairIndex:
     """The pairs of a group of molecules of ``sizes`` atoms, each molecule's
     pairs shifted by its first row; one molecule's are :func:`pair_index`.

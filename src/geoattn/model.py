@@ -5,9 +5,9 @@ atomic coordinates.
 Energies depend on coordinates only through the interatomic distances of
 the i <= j pairs, so they are invariant under rigid rotations and
 translations by construction, and the sum-pool readout makes them invariant
-under atom permutations.  Small molecules run several to a graph, as a
-group (see :func:`groups`), whose per-molecule results are those of each
-molecule alone up to rounding.
+under atom permutations.  Every forward runs a group of molecules as one
+graph (see :func:`groups`), one molecule as a group of one; a molecule's
+results in a larger group are those of its group of one up to rounding.
 """
 
 from __future__ import annotations
@@ -231,31 +231,25 @@ class GeoTModel:
         mixed = ad.add(ad.add(msa, ffn(x, layer)), x)
         return ad.layer_norm(mixed, layer.ln0_gain, layer.ln0_bias)
 
-    def readout(self, x: ad.Tensor, segment: np.ndarray | None = None) -> ad.Tensor:
-        """Sum-pool the rows and project: a scalar for one molecule, or, with
-        ``segment`` (the molecule of each row), one value per molecule."""
-        if segment is None:
-            pooled, shape = ad.tensor_sum(x, axis=0, keepdims=True), ()     # 1 x d_m
-        else:
-            shape = (int(segment[-1]) + 1,)
-            pooled = ad.put_rows(x, segment, shape[0])                      # B x d_m
-        return ad.add(ad.reshape(ad.einsum("nd,de->ne", pooled, self.w_pool), shape), self.b_out)
+    def readout(self, x: ad.Tensor, segment: np.ndarray) -> ad.Tensor:
+        """Sum-pool the rows of each molecule (``segment``, the molecule of
+        each row) and project: one value per molecule."""
+        n = int(segment[-1]) + 1
+        pooled = ad.put_rows(x, segment, n)                                 # B x d_m
+        return ad.add(ad.reshape(ad.einsum("nd,de->ne", pooled, self.w_pool), (n,)), self.b_out)
 
     def forward_parts(self, molecules: "Molecule | list[Molecule]",
                       trace: "list[AttentionRecord] | None" = None):
-        """Energy tensor plus the coordinate leaf it was built from.  For one
-        :class:`Molecule`, a scalar energy and its N x 3 leaf; for a list of
-        molecules, run as one group (see :func:`groups`), their (B,) energies
-        and one leaf of their stacked coordinates."""
-        lone = isinstance(molecules, Molecule)
-        group = stack([molecules] if lone else molecules)
+        """(B,) energies of a list of molecules, run as one group (see
+        :func:`groups`), and the leaf of their stacked coordinates they were
+        built from.  One :class:`Molecule` is a list of one."""
+        group = stack([molecules] if isinstance(molecules, Molecule) else molecules)
         coords = ad.parameter(group.coords)
-        raw = self.readout(self._encode(group, coords, trace), None if lone else group.segment)
+        raw = self.readout(self._encode(group, coords, trace), group.segment)
         baseline = [self.config.out_shift + sum(self.config.atom_refs.get(str(z), 0.0)
                                                 for z in mol.atomic_numbers)
                     for mol in group.molecules]
-        energy = ad.add(ad.mul(raw, self.config.out_scale), baseline[0] if lone else baseline)
-        return energy, coords
+        return ad.add(ad.mul(raw, self.config.out_scale), baseline), coords
 
     def _encode(self, group: Group, coords: ad.Tensor, trace) -> ad.Tensor:
         geo = None      # the softmax baseline uses no geometry
@@ -273,9 +267,7 @@ class GeoTModel:
         return x
 
     def energy(self, molecule: Molecule) -> float:
-        with ad.no_graph():
-            e, _ = self.forward_parts(molecule)
-        return e.item()
+        return float(self.energies([molecule])[0])
 
     def energies(self, molecules: list[Molecule]) -> np.ndarray:
         """The energy of each molecule, from one forward per group (see
@@ -284,38 +276,31 @@ class GeoTModel:
             return np.concatenate([self.forward_parts(g)[0].data for g in groups(molecules)])
 
     def force_tensor(self, molecules: "Molecule | list[Molecule]", create_graph: bool = True):
-        """(force tensor, energy tensor, coords leaf) of one molecule, or of a
-        list run as one group, whose forces are the rows of one gradient of
-        its summed energies.  With ``create_graph`` the forces can be
-        differentiated again.  Without it the coordinate sweep frees the
-        energy's graph, which then cannot be swept again."""
+        """(force tensor, energy tensor, coords leaf) of :meth:`forward_parts`,
+        the forces the rows of one gradient of the summed energies.  With
+        ``create_graph`` the forces can be differentiated again.  Without it
+        the coordinate sweep frees the energy's graph, which then cannot be
+        swept again."""
         e, coords = self.forward_parts(molecules)
-        root = e if isinstance(molecules, Molecule) else ad.tensor_sum(e)
-        (de_dr,) = ad.grad(root, [coords], create_graph=create_graph)
+        (de_dr,) = ad.grad(ad.tensor_sum(e), [coords], create_graph=create_graph)
         f = de_dr if self.config.force_sign == "paper" else ad.neg(de_dr)
         return f, e, coords
 
-    def _frozen_forces(self, molecules) -> tuple[np.ndarray, np.ndarray]:
-        """Energy and force arrays of :meth:`force_tensor` from one forward
-        pass that records only the graph of the coordinates (the parameters
-        frozen); no graph for the gradient, whose sweep frees the forward
-        graph as it runs."""
-        with ad.frozen(self.params().values()):
-            f, e, _ = self.force_tensor(molecules, create_graph=False)
-        return e.data, f.data.copy()
-
     def energy_and_forces(self, molecule: Molecule) -> tuple[float, np.ndarray]:
-        """Energy and forces of one molecule, with no graph left behind."""
-        e, f = self._frozen_forces(molecule)
-        return e.item(), f
+        return self.energies_and_forces([molecule])[0]
 
     def energies_and_forces(self, molecules: list[Molecule]) -> list[tuple[float, np.ndarray]]:
-        """:meth:`energy_and_forces` of each molecule, from one frozen forward
-        and one coordinate gradient per group (see :func:`groups`)."""
+        """Energy and forces of each molecule, from one forward and one
+        coordinate gradient per group (see :func:`groups`).  The forward
+        records only the graph of the coordinates (the parameters frozen),
+        and the gradient records none and frees that graph as it runs."""
         out = []
-        for group in groups(molecules):
-            e, f = self._frozen_forces(group)
-            out.extend(zip(e.tolist(), np.split(f, np.cumsum([m.n_atoms for m in group])[:-1])))
+        with ad.frozen(self.params().values()):
+            for group in groups(molecules):
+                # arrays only: a tensor kept into the next group's forward keeps its graph
+                f, e, _ = (t.data for t in self.force_tensor(group, create_graph=False))
+                cut = np.cumsum([m.n_atoms for m in group])[:-1]
+                out.extend(zip(e.tolist(), np.split(f.copy(), cut)))
         return out
 
     def forces(self, molecule: Molecule) -> np.ndarray:

@@ -85,12 +85,10 @@ def molecule_loss(model: GeoTModel, mol: Molecule, cfg: TrainConfig,
     (see :func:`group_losses`); without them it runs as a group of one."""
     if mol.energy is None:
         raise DataError("molecule has no energy label")
-    forces = cfg.use_forces and mol.forces is not None
     if parts is None:
-        e_hat, coords = model.forward_parts(mol)
-        parts = e_hat, ad.grad(e_hat, [coords], create_graph=True)[0] if forces else None
+        return group_losses(model, [mol], cfg)[0]
     e_hat, de_dr = parts
-    if forces:
+    if cfg.use_forces and mol.forces is not None:
         # dataset forces are physical (F = -grad E); the loss compares
         # energy gradients, so flip the sign of the label
         return composite_loss(mol.energy, e_hat, -mol.forces,
@@ -109,9 +107,8 @@ def group_losses(model: GeoTModel, group: list, cfg: TrainConfig) -> list:
         (de_dr,) = ad.grad(ad.tensor_sum(energies), [coords], create_graph=True)
     losses, lo = [], 0
     for b, mol in enumerate(group):
-        e_hat = ad.reshape(ad.slice_axis(energies, 0, b, b + 1), ())
         rows = None if de_dr is None else ad.slice_axis(de_dr, 0, lo, lo + mol.n_atoms)
-        losses.append(molecule_loss(model, mol, cfg, (e_hat, rows)))
+        losses.append(molecule_loss(model, mol, cfg, (ad.take_rows(energies, b), rows)))
         lo += mol.n_atoms
     return losses
 

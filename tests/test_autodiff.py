@@ -964,6 +964,23 @@ class TestPairOps:
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
 
+    def test_group_cache_keeps_what_repeats_and_stays_small(self, rng):
+        ad.group_pairs.cache_clear()
+        rounds = [tuple(rng.integers(4, 9, 4).tolist()) for _ in range(26)]
+        for sizes in rounds:
+            ad.group_pairs(sizes)
+        hits = ad.group_pairs.cache_info().hits
+        for sizes in rounds:
+            ad.group_pairs(sizes)
+        assert ad.group_pairs.cache_info().hits == hits + 26
+        # many distinct 16-molecule groups, as batches of 32 give
+        for _ in range(300):
+            ad.group_pairs(tuple(rng.integers(4, 9, 16).tolist()))
+        info = ad.group_pairs.cache_info()
+        assert info.currsize <= info.maxsize
+        biggest = sum(a.nbytes for a in ad.group_pairs((8,) * 16))
+        assert info.maxsize * biggest <= 2e6      # 1024 entries held 18.9 MB
+
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_expand_and_fold_are_adjoint(self, rng, n):
         pairs = ad.pair_index(n)
@@ -1036,6 +1053,18 @@ class TestStructuralOps:
         numeric = numeric_grad(forward, [a, b])
         for g, n in zip(analytic, numeric):
             assert rel_err(g, n) < 1e-6
+
+    def test_slice_of_a_whole_axis_is_the_operand(self, rng):
+        x = ad.parameter(rng.normal(size=(3, 2)))
+        assert ad.slice_axis(x, 0, 0, 3) is x
+        assert ad.slice_axis(x, 1, 0, 1).shape == (3, 1)
+
+    def test_item_reads_any_one_element_tensor(self):
+        for data in (np.array(2.5), np.array([2.5]), np.array([[2.5]])):
+            value = ad.constant(data).item()
+            assert isinstance(value, float) and value == 2.5
+        with pytest.raises(ValueError):
+            ad.constant([1.0, 2.0]).item()
 
     def test_take_rows_scatters_gradient(self):
         table = ad.parameter(np.arange(12.0).reshape(4, 3))

@@ -88,7 +88,7 @@ class TestReadout:
     def test_sum_pool_oracle(self, rng):
         model = GeoTModel.init(small_config(), seed=0)
         x = rng.uniform(-1, 1, (5, 8))
-        got = model.readout(ad.constant(x)).item()
+        got = model.readout(ad.constant(x), np.zeros(5, dtype=int)).item()
         want = float(x.sum(0) @ model.w_pool.data[:, 0] + model.b_out.data)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -285,6 +285,12 @@ class TestGraphSize:
         loss = training.molecule_loss(model, mol, training.TrainConfig())
         assert len(tracked_nodes(loss)) <= 340
 
+    def test_group_of_one_training_loss_nodes(self, setup):
+        # the graph a training step records for a molecule that runs alone
+        model, mol = setup
+        (loss,) = training.group_losses(model, [mol], training.TrainConfig())
+        assert len(tracked_nodes(loss)) <= 340
+
 
 def held_bytes(root):
     return sum(a.nbytes for a in held_arrays(root))
@@ -339,7 +345,9 @@ class TestGraphMemory:
         with ad.frozen(model.params().values()):
             energy, coords = model.forward_parts(random_molecule(rng, n=40))
         ad.grad(energy, [coords], create_graph=False)
-        leaves = {id(t.data) for t in model.params().values()} | {id(coords.data)}
+        # the parameters, the coordinates and the (1,) energy's own value
+        leaves = {id(t.data) for t in model.params().values()} | {id(coords.data),
+                                                                  id(energy.data)}
         assert {id(a) for a in held_arrays(energy) if a.size} <= leaves
         assert held_bytes(energy) <= 1.0e6    # 0.97 MB measured, 8.67 before
 
