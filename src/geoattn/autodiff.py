@@ -570,23 +570,30 @@ def _einsum_plan(spec: str, shapes: tuple):
     return vjp_specs, contract
 
 
+def _einsum_vjp(spec: str, others: list) -> Callable:
+    """The vjp of an einsum operand; ``others`` sit in its closure cells,
+    where a walk of the graph's held arrays finds them."""
+    return lambda g: einsum(spec, g, *others)
+
+
 def einsum(spec: str, *operands) -> Tensor:
     """Differentiable ``np.einsum`` with an explicit output, e.g.
     ``einsum("ihc,jhc->ijh", q, k)``; the engine's only contraction.  The
     vjp of each tracked operand is the einsum of the incoming gradient with
     the other operands, so it differentiates again like any other op; an
-    untracked operand gets none, so no closure keeps the others for it."""
-    operands = [_coerce(t) for t in operands]
+    untracked operand gets none, so no closure keeps the others for it, and
+    under :func:`no_graph` no operand gets one."""
+    operands = [t if isinstance(t, Tensor) else constant(t) for t in operands]
     arrays = [t.data for t in operands]
-    vjp_specs, contract = _einsum_plan(spec, tuple(a.shape for a in arrays))
-
-    def vjp(k):
-        if not operands[k].requires_grad:
-            return None
-        others = operands[:k] + operands[k + 1:]    # not the operand itself
-        return lambda g: einsum(vjp_specs[k], g, *others)
-
-    return _node(contract(*arrays), operands, [vjp(k) for k in range(len(operands))])
+    vjp_specs, contract = _einsum_plan(spec, tuple([a.shape for a in arrays]))
+    data = contract(*arrays)
+    if not _RECORDING:
+        return Tensor(data)
+    vjps = []
+    for k, t in enumerate(operands):
+        vjps.append(_einsum_vjp(vjp_specs[k], operands[:k] + operands[k + 1:])
+                    if t.requires_grad else None)
+    return _node(data, operands, vjps)
 
 
 # ---------------------------------------------------------------------------
@@ -825,7 +832,12 @@ def grad(output: Tensor, wrt: Iterable[Tensor], create_graph: bool = True) -> li
                                              f"it was frozen when the graph was recorded")
                         contrib = vjp(g)
                         prev = gmap.get(p)
-                        gmap[p] = contrib if prev is None else add(prev, contrib)
+                        if prev is None:
+                            gmap[p] = contrib
+                        elif create_graph:
+                            gmap[p] = add(prev, contrib)
+                        else:       # add's np.add, without its node
+                            gmap[p] = Tensor(prev.data + contrib.data)
                 if not create_graph:
                     node.vjps = (_swept,) * len(node.parents)
     out = []

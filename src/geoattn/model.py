@@ -312,10 +312,15 @@ class GeoTModel:
 
 def save_checkpoint(model: GeoTModel, path) -> None:
     """Single .npz container: config JSON plus every named parameter."""
-    arrays = {f"param:{name}": t.data for name, t in model.params().items()}
-    cfg_json = json.dumps(dataclasses.asdict(model.config))
+    write_checkpoint(path, model.config, {name: t.data for name, t in model.params().items()})
+
+
+def write_checkpoint(path, config: ModelConfig, arrays: dict) -> None:
+    """The checkpoint of a model of ``config`` whose parameters hold
+    ``arrays``, by name in :meth:`GeoTModel.params` order."""
+    cfg_json = json.dumps(dataclasses.asdict(config))
     np.savez(path, __config__=np.frombuffer(cfg_json.encode(), dtype=np.uint8),
-             **arrays)
+             **{f"param:{name}": a for name, a in arrays.items()})
 
 
 def _check_fields(cls, values, what: str) -> None:

@@ -8,6 +8,8 @@ is the double-backward path the autodiff engine was built for.
 
 from __future__ import annotations
 
+import copy
+import io
 import itertools
 from dataclasses import dataclass, field
 
@@ -17,7 +19,7 @@ from . import autodiff as ad
 from .data import Dataset
 from .errors import ConfigError, DataError
 from .geometry import Molecule, random_coords
-from .model import GeoTModel, checkpoint_bytes, groups
+from .model import GeoTModel, groups, write_checkpoint
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -118,33 +120,58 @@ def group_losses(model: GeoTModel, group: list, cfg: TrainConfig) -> list:
 
 
 class Adam:
-    """Standard Adam with externally supplied step size."""
+    """Standard Adam with externally supplied step size, on one flat vector:
+    every parameter of ``params``, raveled and concatenated in their order.
+    ``m`` and ``v`` map each name to its view of the flat moments."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
     def __init__(self, params: dict):
         self.params = params
-        self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
-        self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
+        self._ends = np.cumsum([t.size for t in params.values()])
+        self._m = np.zeros(self._ends[-1])
+        self._v = np.zeros(self._ends[-1])
+        self.m = self._views(self._m)
+        self.v = self._views(self._v)
         self.t = 0
 
-    def step(self, grads: dict, lr: float) -> None:
-        """One update; a non-finite gradient raises before anything changes."""
-        for name in self.params:
-            if not np.isfinite(grads[name]).all():
-                raise ad.NonFiniteError(
-                    f"non-finite gradient for parameter {name!r} at step {self.t + 1}")
+    def _views(self, flat: np.ndarray) -> dict:
+        """Each parameter's view of ``flat``, by name, in its shape."""
+        return {name: flat[end - t.size:end].reshape(t.shape)
+                for (name, t), end in zip(self.params.items(), self._ends)}
+
+    def step(self, grad: np.ndarray, lr: float) -> None:
+        """One update from the flat gradient ``grad``; a non-finite entry
+        raises, naming its parameter, before anything changes.  Each
+        parameter gets a view of one new array: no parameter array is
+        written into, so a caller may keep the old ones."""
+        if not np.isfinite(grad).all():
+            first = int(np.argmin(np.isfinite(grad)))
+            name = list(self.params)[np.searchsorted(self._ends, first, side="right")]
+            raise ad.NonFiniteError(
+                f"non-finite gradient for parameter {name!r} at step {self.t + 1}")
         self.t += 1
         b1, b2 = self.BETA1, self.BETA2
-        for name, tensor in self.params.items():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m += (1 - b1) * (g - m)
-            v += (1 - b2) * (g * g - v)
-            m_hat = m / (1 - b1 ** self.t)
-            v_hat = v / (1 - b2 ** self.t)
-            tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+        m, v = self._m, self._v
+        # m += (1 - b1)(g - m), v += (1 - b2)(g² - v) and
+        # p - (lr·m̂) / (sqrt(v̂) + eps), op for op, in two scratch vectors
+        a = grad - m
+        a *= 1 - b1
+        m += a
+        b = grad * grad
+        b -= v
+        b *= 1 - b2
+        v += b
+        np.divide(m, 1 - b1 ** self.t, out=a)
+        a *= lr
+        np.divide(v, 1 - b2 ** self.t, out=b)
+        np.sqrt(b, out=b)
+        b += self.EPS
+        a /= b
+        new = np.concatenate([t.data for t in self.params.values()], axis=None)
+        new -= a
+        for tensor, view in zip(self.params.values(), self._views(new).values()):
+            tensor.data = view
 
 
 # ---------------------------------------------------------------------------
@@ -275,43 +302,51 @@ def train(model: GeoTModel, dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     best checkpoint.  If it arose in a training step (loss, gradient or
     activation), the parameters are those from before the failing step.  If
     it arose in a validation pass after step ``steps_run``, the parameters
-    are those that step produced, i.e. the ones that failed validation."""
+    are those that step produced, i.e. the ones that failed validation.
+
+    The best checkpoint is serialized when the run ends, from the parameter
+    arrays of the best evaluation, kept by reference: whoever writes into a
+    parameter array in place during the run (nothing here does) writes
+    into that checkpoint too."""
     train_mols, val_mols = training_splits(dataset)
 
     params = model.params()
     opt = Adam(params)
     rng = np.random.default_rng(cfg.seed)
     result = TrainResult()
+    best = None     # the config and parameter arrays of the best evaluation
 
     def evaluate(step: int) -> bool:
-        """Validate, keep the checkpoint if it is the best; True if it is."""
+        """Validate, keep the model's state if it is the best; True if it is."""
+        nonlocal best
         val = energy_mae(model, val_mols)
         result.metrics.append((step, "val", "energy_mae", val))
         if val < result.best_val_mae:
             result.best_val_mae = val
-            result.best_checkpoint = checkpoint_bytes(model)
+            # the arrays by reference, as Adam.step never writes into them; the
+            # config as a copy, as the target normalization changes it
+            best = copy.deepcopy(model.config), {k: t.data for k, t in params.items()}
             return True
         return False
 
     def train_step(batch: list, step: int) -> float:
         """One optimiser step on the batch, one graph and one parameter sweep
         per group of it; returns its mean loss."""
-        grads = {name: np.zeros_like(t.data) for name, t in params.items()}
+        grad = 0.0      # a sum from 0.0, so a -0.0 gradient entry becomes 0.0
         batch_loss = 0.0
         for group in groups(batch):
             total = None
             for loss in group_losses(model, group, cfg):
                 batch_loss += loss.item()
                 total = loss if total is None else ad.add(total, loss)
-            for name, g in zip(params, ad.grad(total, params.values(),
-                                               create_graph=False)):
-                grads[name] += g.data
+            flat = np.concatenate([g.data for g in ad.grad(total, params.values(),
+                                                           create_graph=False)], axis=None)
+            grad = np.add(flat, grad, out=flat)
         batch_loss /= len(batch)
         if not np.isfinite(batch_loss):
             raise ad.NonFiniteError("non-finite training loss")
-        for name in grads:
-            grads[name] /= len(batch)
-        opt.step(grads, lr_schedule(step, cfg))
+        grad /= len(batch)
+        opt.step(grad, lr_schedule(step, cfg))
         return batch_loss
 
     # the step-0 entry is the untrained model as initialized; the output
@@ -355,4 +390,8 @@ def train(model: GeoTModel, dataset: Dataset, cfg: TrainConfig) -> TrainResult:
     except ad.NonFiniteError:
         result.stopped = "diverged"
     result.steps_run = step
+    if best is not None:
+        buf = io.BytesIO()
+        write_checkpoint(buf, *best)
+        result.best_checkpoint = buf.getvalue()
     return result

@@ -8,7 +8,7 @@ from geoattn import training
 from geoattn.data import Dataset, split_dataset
 from geoattn.errors import ConfigError, DataError
 from geoattn.geometry import BasisConfig, Molecule
-from geoattn.model import GeoTModel, ModelConfig, groups, load_checkpoint
+from geoattn.model import GeoTModel, ModelConfig, checkpoint_bytes, groups, load_checkpoint
 from geoattn.training import (Adam, SyntheticSpec, TrainConfig, composite_loss,
                               default_morse_table, energy_mae,
                               generate_synthetic, lr_schedule,
@@ -205,15 +205,15 @@ class TestAdam:
         opt = Adam({"p": p})
         before = p.data.copy()
         g = rng.uniform(0.5, 2.0, 5)
-        opt.step({"p": g}, lr=0.01)
+        opt.step(g, lr=0.01)
         np.testing.assert_allclose(before - p.data, 0.01 * np.sign(g), rtol=1e-6)
 
     def test_two_step_recursion_oracle(self):
         p = ad.parameter(np.zeros(1))
         opt = Adam({"p": p})
         g1, g2, lr = 0.3, -0.2, 0.1
-        opt.step({"p": np.array([g1])}, lr)
-        opt.step({"p": np.array([g2])}, lr)
+        opt.step(np.array([g1]), lr)
+        opt.step(np.array([g2]), lr)
         m = 0.9 * (0.1 * g1) + 0.1 * g2
         v = 0.999 * (0.001 * g1 ** 2) + 0.001 * g2 ** 2
         m_hat = m / (1 - 0.9 ** 2)
@@ -226,17 +226,100 @@ class TestAdam:
         p = ad.parameter(np.zeros(2))
         opt = Adam({"p": p})
         with pytest.raises(ad.NonFiniteError):
-            opt.step({"p": np.array([1.0, np.nan])}, 0.1)
+            opt.step(np.array([1.0, np.nan]), 0.1)
 
     def test_nonfinite_gradient_changes_nothing(self):
         p = ad.parameter(np.ones(2))
         q = ad.parameter(np.ones(2))
         opt = Adam({"p": p, "q": q})
         with pytest.raises(ad.NonFiniteError, match="'q'"):
-            opt.step({"p": np.array([1.0, 1.0]), "q": np.array([1.0, np.inf])}, 0.1)
+            opt.step(np.array([1.0, 1.0, 1.0, np.inf]), 0.1)
         np.testing.assert_array_equal(p.data, [1.0, 1.0])
         np.testing.assert_array_equal(opt.m["p"], [0.0, 0.0])
         assert opt.t == 0
+
+
+    def test_flat_step_is_the_per_parameter_update_bit_for_bit(self, rng):
+        shapes = {"b": (), "p": (3,), "w": (2, 4)}     # the default b_out is 0-d
+        params = {k: ad.parameter(rng.normal(size=s)) for k, s in shapes.items()}
+        opt = Adam(params)
+        want = {k: t.data.copy() for k, t in params.items()}
+        m = {k: np.zeros(s) for k, s in shapes.items()}
+        v = {k: np.zeros(s) for k, s in shapes.items()}
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        for t, lr in enumerate([1e-3, 0.03, 0.7], start=1):
+            grads = {k: rng.normal(size=s) * 10.0 ** rng.integers(-6, 3, size=s)
+                     for k, s in shapes.items()}
+            grads["w"][0, 0] = -0.0
+            opt.step(np.concatenate([g.reshape(-1) for g in grads.values()]), lr)
+            for k, g in grads.items():     # one parameter at a time, as numpy computes it
+                m[k] += (1 - b1) * (g - m[k])
+                v[k] += (1 - b2) * (g * g - v[k])
+                m_hat = m[k] / (1 - b1 ** t)
+                v_hat = v[k] / (1 - b2 ** t)
+                want[k] = want[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+                assert params[k].shape == shapes[k]
+                assert params[k].data.tobytes() == want[k].tobytes(), (t, k)
+                assert opt.m[k].tobytes() == m[k].tobytes()
+                assert opt.v[k].tobytes() == v[k].tobytes()
+
+    def test_step_replaces_each_array_and_leaves_the_old_one_unchanged(self, rng):
+        params = {"b": ad.parameter(1.0), "w": ad.parameter(rng.normal(size=(2, 3)))}
+        opt = Adam(params)
+        for _ in range(2):      # the second step replaces arrays the first made
+            old = {k: t.data for k, t in params.items()}
+            kept = {k: a.copy() for k, a in old.items()}
+            opt.step(rng.normal(size=7), 0.1)
+            for k, t in params.items():
+                assert not np.shares_memory(t.data, old[k])
+                np.testing.assert_array_equal(old[k], kept[k])
+                assert not np.array_equal(t.data, kept[k])
+
+
+class TestBestCheckpoint:
+    """``train`` returns the bytes ``checkpoint_bytes`` gave at the best
+    evaluation, though it serializes once, when it returns."""
+
+    @staticmethod
+    def run(monkeypatch, cfg, lr_at=None):
+        inner = training.energy_mae
+        seen = []
+
+        def recorded(model, molecules):
+            val = inner(model, molecules)
+            seen.append((val, checkpoint_bytes(model)))
+            return val
+
+        monkeypatch.setattr(training, "energy_mae", recorded)
+        if lr_at is not None:
+            monkeypatch.setattr(training, "lr_schedule", lr_at)
+        model = tiny_model()
+        res = train(model, tiny_dataset(), cfg)
+        best = int(np.argmin([val for val, _ in seen]))      # the first of equals
+        assert res.best_val_mae == seen[best][0]
+        assert res.best_checkpoint == seen[best][1]
+        return res, best, model
+
+    def test_best_at_step_zero_has_the_config_before_normalization(self, monkeypatch):
+        res, best, model = self.run(monkeypatch, TrainConfig(
+            lr=1.0, warmup_steps=1, batch_size=4, max_steps=4, eval_every=1, patience=100))
+        assert (best, res.steps_run) == (0, 4)
+        saved = load_checkpoint(io.BytesIO(res.best_checkpoint)).config
+        assert (saved.out_shift, saved.out_scale) == (0.0, 1.0)
+        assert (model.config.out_shift, model.config.out_scale) != (0.0, 1.0)
+
+    def test_best_at_a_later_step(self, monkeypatch):
+        res, best, _ = self.run(monkeypatch, TrainConfig(
+            lr=0.1, warmup_steps=1, batch_size=4, max_steps=6, eval_every=1, patience=100))
+        assert (best, res.steps_run, res.stopped) == (2, 6, "max_steps")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")     # inf/NaN on purpose
+    def test_diverged_run_keeps_the_best_before_it(self, monkeypatch):
+        # step 5 jumps to non-finite validation; steps 1-4 run at lr 0.03
+        res, best, _ = self.run(monkeypatch, TrainConfig(
+            lr=0.03, warmup_steps=1, batch_size=4, max_steps=6, eval_every=1, patience=100),
+            lr_at=lambda step, cfg: 1e300 if step == 5 else cfg.lr)
+        assert (best, res.steps_run, res.stopped) == (4, 5, "diverged")
 
 
 class TestMorseOracle:
