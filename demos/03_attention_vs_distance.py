@@ -25,7 +25,7 @@ dist = np.linalg.norm(mol.coords[:, None] - mol.coords[None], axis=-1)
 off = ~np.eye(mol.n_atoms, dtype=bool)
 
 for layer, rec in enumerate(trace):     # one record per layer, in order
-    norm = rec.norm_map()
+    norm = rec.norm_map()[0]     # molecule 0 of a group of one
     print(f"layer {layer}:")
     edges = np.linspace(dist[off].min(), dist[off].max(), 6)
     for lo, hi in zip(edges[:-1], edges[1:]):

@@ -25,12 +25,15 @@ from .geometry import glorot, param
 
 @dataclass
 class AttentionRecord:
-    """A layer's (possibly AttnScale'd) maps; a trace holds one per layer, in order."""
+    """A layer's (possibly AttnScale'd) maps of a group, one per molecule;
+    a lone molecule's are those of its group of one.  A trace holds one
+    record per layer, in order."""
 
-    logits: np.ndarray     # N x N x h (a group's B x N_max x N_max x h), after AttnScale if enabled
+    logits: np.ndarray     # B x N_max x N_max x h (1 x N x N x h alone), after AttnScale if enabled
 
     def norm_map(self) -> np.ndarray:
-        """Head-averaged per-pair magnitude, the quantity used for analysis."""
+        """Head-averaged per-pair magnitude, B x N_max x N_max, the quantity
+        used for analysis."""
         return np.mean(np.abs(self.logits), axis=-1)
 
 
@@ -52,15 +55,15 @@ def init_attention_params(rng: np.random.Generator | None, d_m: int,
     )
 
 
-def qkv_project(x: ad.Tensor, params: AttentionParams, cfg: "ModelConfig", lead=None):
+def qkv_project(x: ad.Tensor, params: AttentionParams, cfg: "ModelConfig", lead):
     """Project with the full d_m x d_m weights and split into h head chunks.
 
     Returns (q, k, v), each of shape lead x h x head_dim, where ``lead`` is
-    (N,) for the N rows of ``x`` or the (B, N_max) slots of a group's rows.
+    the (B, N_max) slots of a group's rows; ``x`` holds B * N_max rows.
     """
     if x.shape[1] != cfg.d_m:
         raise ConfigError(f"input width {x.shape[1]} != d_m {cfg.d_m}")
-    shape = tuple(lead or x.shape[:1]) + (cfg.n_heads, cfg.head_dim)
+    shape = (*lead, cfg.n_heads, cfg.head_dim)
     q = ad.reshape(ad.einsum("nd,de->ne", x, params.wq), shape)
     k = ad.reshape(ad.einsum("nd,de->ne", x, params.wk), shape)
     v = ad.reshape(ad.einsum("nd,de->ne", x, params.wv), shape)
@@ -71,13 +74,12 @@ def geo_attention_logits(q: ad.Tensor, k: ad.Tensor, lam: ad.Tensor,
                          scale: float) -> ad.Tensor:
     """Kernel-gated unnormalized logits for all heads at once.
 
-    q, k: N x h x c; lam: N x N x (h*c).  Returns N x N x h.  A group has a
-    leading B axis on each, with N the group's N_max.
+    q, k: B x N x h x c; lam: B x N x N x (h*c), with N a group's N_max.
+    Returns B x N x N x h.
     """
     h, c = q.shape[-2:]
     lam4 = ad.reshape(lam, lam.shape[:-1] + (h, c))
-    b = "b" if q.ndim == 4 else ""      # a group's molecule axis
-    return ad.mul(ad.einsum(f"{b}ihc,{b}jhc,{b}ijhc->{b}ijh", q, k, lam4), 1.0 / np.sqrt(scale))
+    return ad.mul(ad.einsum("bihc,bjhc,bijhc->bijh", q, k, lam4), 1.0 / np.sqrt(scale))
 
 
 def _real_slots(pairs: ad.PairIndex) -> np.ndarray:
@@ -87,12 +89,13 @@ def _real_slots(pairs: ad.PairIndex) -> np.ndarray:
     return real
 
 
-def attn_scale(a: ad.Tensor, w_a: ad.Tensor, pairs: "ad.PairIndex | None" = None) -> ad.Tensor:
-    """Split each row into its mean (DC) and residual (HF) parts and amplify
-    the residual by 1 + w_a.  Row sums are preserved for every w_a because
-    the residual is row-mean-free.  In a padded group (``pairs``) the mean
-    divides by each molecule's atom count, and the padding stays 0."""
-    real = None if pairs is None or not pairs.padded else _real_slots(pairs)
+def attn_scale(a: ad.Tensor, w_a: ad.Tensor, pairs: ad.PairIndex) -> ad.Tensor:
+    """Split each row of the B x N_max x N_max x h maps ``a`` into its mean
+    (DC) and residual (HF) parts and amplify the residual by 1 + w_a.  Row
+    sums are preserved for every w_a because the residual is row-mean-free.
+    In a padded group (``pairs``) the mean divides by each molecule's atom
+    count, and the padding stays 0."""
+    real = _real_slots(pairs) if pairs.padded else None
     inv_n = 1.0 / a.shape[-2] if real is None else 1.0 / real.sum(axis=1)[:, None, None, None]
     dc = ad.mul(ad.tensor_sum(a, axis=-2, keepdims=True), inv_n)
     hf = ad.sub(a, dc)
@@ -103,42 +106,42 @@ def attn_scale(a: ad.Tensor, w_a: ad.Tensor, pairs: "ad.PairIndex | None" = None
 
 
 def geo_msa(x: ad.Tensor, lam: "ad.Tensor | None", params: AttentionParams,
-            cfg: "ModelConfig", trace: "list[AttentionRecord] | None" = None,
-            pairs: "ad.PairIndex | None" = None) -> ad.Tensor:
-    """Multi-head attention: softmax-free and gated by the pair kernel
-    ``lam``, or the softmax baseline (``lam`` unused) when the model's
-    ``ModelConfig`` asks.  With a group's ``pairs`` (see
-    :func:`autodiff.group_pairs`), ``x`` holds the group's atom rows and the
-    maps are B x N_max x N_max x h, padded with zero rows of ``x``."""
-    lead = pairs.index.shape[:-1] if pairs is not None else x.shape[:1]
-    padded = pairs is not None and pairs.padded
-    if padded:
+            cfg: "ModelConfig", pairs: ad.PairIndex,
+            trace: "list[AttentionRecord] | None" = None) -> ad.Tensor:
+    """Multi-head attention over the atom rows ``x`` of a group with the
+    layout ``pairs`` (see :func:`autodiff.group_pairs`; a lone molecule is a
+    group of one): softmax-free and gated by the B x N_max x N_max x d_m
+    pair kernel ``lam``, or the softmax baseline (``lam`` unused) when the
+    model's ``ModelConfig`` asks.  The maps are B x N_max x N_max x h,
+    padded with zero rows of ``x``."""
+    lead = pairs.index.shape[:-1]
+    if pairs.padded:
         x = ad.put_rows(x, pairs.rows, int(np.prod(lead)))
     q, k, v = qkv_project(x, params, cfg, lead)
-    b = "b" if len(lead) == 2 else ""
     if cfg.use_softmax_baseline:
-        logits = ad.mul(ad.einsum(f"{b}ihc,{b}jhc->{b}ijh", q, k), 1.0 / np.sqrt(cfg.scale))
-        if padded:      # padded columns get no weight
+        logits = ad.mul(ad.einsum("bihc,bjhc->bijh", q, k), 1.0 / np.sqrt(cfg.scale))
+        if pairs.padded:        # padded columns get no weight
             logits = ad.add(logits, np.where(_real_slots(pairs), 0.0, -np.inf)[:, None, :, None])
-        a = ad.softmax(logits, axis=-2)                     # N x N x h
+        a = ad.softmax(logits, axis=-2)                     # B x N x N x h
     else:
-        a = geo_attention_logits(q, k, lam, cfg.scale)      # N x N x h
+        a = geo_attention_logits(q, k, lam, cfg.scale)      # B x N x N x h
         if cfg.use_attn_scale:
             a = attn_scale(a, params.w_a, pairs)
     if trace is not None:
         trace.append(AttentionRecord(a.data.copy()))
-    out = ad.reshape(ad.einsum(f"{b}ijh,{b}jhc->{b}ihc", a, v), (-1, cfg.d_m))
-    return ad.take_rows(out, pairs.rows) if padded else out
+    out = ad.reshape(ad.einsum("bijh,bjhc->bihc", a, v), (-1, cfg.d_m))
+    return ad.take_rows(out, pairs.rows) if pairs.padded else out
 
 
 def format_attention_csv(records: "list[AttentionRecord]") -> str:
-    """Dump format: one line per (layer, i, j) with the head-averaged value;
-    a record's position in the trace is its layer."""
+    """Dump format: one line per (layer, i, j) with the head-averaged value
+    of molecule 0, a lone molecule's; a record's position in the trace is
+    its layer."""
     if not records:
         raise UsageError("no attention trace collected; run a forward pass with tracing")
     lines = ["layer,head_avg,i,j,value"]
     for layer, rec in enumerate(records):
-        m = rec.norm_map()
+        m = rec.norm_map()[0]
         n = m.shape[0]
         for i in range(n):
             for j in range(n):

@@ -279,18 +279,18 @@ def put_rows(g, idx, n_rows: int) -> Tensor:
 
 
 class PairIndex(NamedTuple):
-    """The M pairs i <= j of the atoms of one molecule, or of a group of
-    molecules whose atom rows are stacked in order: every off-diagonal pair
-    (i < j) first, then every diagonal pair in row order.  One molecule is
-    laid out N x N; a group B x N_max x N_max, where the slots past a
-    molecule's atoms hold M, the zero row :func:`expand_pairs` appends."""
+    """The M pairs i <= j of the atoms of a group of molecules whose atom
+    rows are stacked in order, one molecule being a group of one: every
+    off-diagonal pair (i < j) first, then every diagonal pair in row order.
+    The layout is B x N_max x N_max, where the slots past a molecule's atoms
+    hold M, the zero row :func:`expand_pairs` appends."""
 
     i: np.ndarray        # (M,) first atom row of each pair
     j: np.ndarray        # (M,) second atom row
-    index: np.ndarray    # (N, N) or (B, N_max, N_max): pair of (a, b), the same as of (b, a)
+    index: np.ndarray    # (B, N_max, N_max): pair of (a, b), the same as of (b, a)
     upper: np.ndarray    # (M,) flat position of (i, j) in that layout
     lower: np.ndarray    # (M - N,) flat position of (j, i) of the off-diagonal pairs
-    rows: np.ndarray     # (N,) flat position of each atom in the layout's leading axes
+    rows: np.ndarray     # (N,) flat position of each atom in the layout's B x N_max slots
 
     @property
     def padded(self) -> bool:
@@ -298,48 +298,34 @@ class PairIndex(NamedTuple):
         return len(self.rows) < self.index.size // self.index.shape[-1]
 
 
-def _read_only(pairs: PairIndex) -> PairIndex:
-    for arr in pairs:
-        arr.flags.writeable = False
-    return pairs
-
-
-@functools.lru_cache(maxsize=256)
-def pair_index(n: int) -> PairIndex:
-    """The pairs of ``n`` atoms, built once per atom count; the arrays are
-    shared by every caller, so they are read-only."""
-    off_i, off_j = np.triu_indices(n, 1)
-    atoms = np.arange(n)
-    i, j = np.concatenate([off_i, atoms]), np.concatenate([off_j, atoms])
-    index = np.empty((n, n), dtype=np.intp)
-    index[i, j] = index[j, i] = np.arange(len(i))
-    return _read_only(PairIndex(i, j, index, i * n + j, off_j * n + off_i, atoms))
-
-
 # Room for the groups that repeat: a validation set's, the gradcheck's
-# copies' and the 26 of a train-morse-small benchmark round.  Training groups
-# of many molecules hardly ever repeat, and one of 16 holds about 19 kB.
+# copies', the 26 of a train-morse-small benchmark round and the sizes of
+# molecules that run alone.  Training groups of many molecules hardly ever
+# repeat, and one of 16 holds about 19 kB.
 @functools.lru_cache(maxsize=64)
 def group_pairs(sizes: tuple) -> PairIndex:
     """The pairs of a group of molecules of ``sizes`` atoms, each molecule's
-    pairs shifted by its first row; one molecule's are :func:`pair_index`.
-    Built once per size tuple, read-only."""
-    if len(sizes) == 1:
-        return pair_index(sizes[0])
+    pairs shifted by its first row.  Built once per size tuple; the arrays
+    are shared by every caller, so they are read-only."""
     n_max = max(sizes)
     first = np.cumsum((0,) + sizes[:-1])
     segment = np.repeat(np.arange(len(sizes)), sizes)       # molecule of each row
     atoms = np.arange(len(segment))
     local = atoms - first[segment]
-    off = [(pair_index(n), n, f) for n, f in zip(sizes, first)]
-    i = np.concatenate([p.i[:len(p.i) - n] + f for p, n, f in off] + [atoms])
-    j = np.concatenate([p.j[:len(p.j) - n] + f for p, n, f in off] + [atoms])
+    # the off-diagonal pairs (a, b > a) of each molecule, row by row
+    after = np.asarray(sizes)[segment] - 1 - local          # partners after each row
+    off_i = np.repeat(atoms, after)
+    off_j = off_i + 1 + np.arange(len(off_i)) - np.repeat(np.cumsum(after) - after, after)
+    i, j = np.concatenate([off_i, atoms]), np.concatenate([off_j, atoms])
     m, mol, li, lj = len(i), segment[i], local[i], local[j]
     index = np.full((len(sizes), n_max, n_max), m, dtype=np.intp)
     index[mol, li, lj] = index[mol, lj, li] = np.arange(m)
     upper = (mol * n_max + li) * n_max + lj
     lower = ((mol * n_max + lj) * n_max + li)[:m - len(atoms)]
-    return _read_only(PairIndex(i, j, index, upper, lower, segment * n_max + local))
+    pairs = PairIndex(i, j, index, upper, lower, segment * n_max + local)
+    for arr in pairs:
+        arr.flags.writeable = False
+    return pairs
 
 
 def expand_pairs(u, pairs: PairIndex) -> Tensor:
@@ -369,11 +355,9 @@ def add_pair_sum(x, p, pairs: PairIndex) -> Tensor:
 
     def back_p(g):
         # atom a collects every pair it is in, its diagonal pair twice
-        per_atom = tensor_sum(expand_pairs(g, pairs), axis=-2)
-        if per_atom.ndim > g.ndim:      # a group's B x N_max slots, back to atom rows
-            per_atom = reshape(per_atom, (-1,) + g.shape[1:])
-            if pairs.padded:
-                per_atom = take_rows(per_atom, pairs.rows)
+        per_atom = reshape(tensor_sum(expand_pairs(g, pairs), axis=-2), (-1,) + g.shape[1:])
+        if pairs.padded:        # B x N_max slots back to atom rows
+            per_atom = take_rows(per_atom, pairs.rows)
         return add(per_atom, slice_axis(g, 0, m - n, m))
 
     data = p.data[pairs.i]

@@ -207,7 +207,7 @@ def cmd_attn_dump(args) -> int:
     dist = distance_matrix(mol.coords)
     lines = ["layer,i,j,distance,norm"]
     for layer, rec in enumerate(trace):
-        norm = rec.norm_map()
+        norm = rec.norm_map()[0]
         n = norm.shape[0]
         for i in range(n):
             for j in range(n):

@@ -223,15 +223,17 @@ def pair_geometry(pairs: ad.PairIndex, r: ad.Tensor, cfg: BasisConfig) -> PairGe
 
 def kernel_tensor(params: KernelParams, cfg: BasisConfig, geo: PairGeometry,
                   atomic_numbers: np.ndarray | None) -> ad.Tensor:
-    """Full N x N x d_m kernel for one layer, from the :class:`PairGeometry`
-    shared by all layers.  The MLP runs on the M = N(N+1)/2 pairs i <= j
-    only, and its output is mirrored to N x N, so the kernel is symmetric by
-    construction.  In atom-aware mode the first layer's weights split by rows
-    into basis rows W_r and code rows W_z; the code Z(z_i) + Z(z_j) and the
-    bias b1 then enter as P_i + P_j with the per-atom term P = Z(z) W_z + b1/2,
-    which equals [g; Z(z_i) + Z(z_j)] W1 + b1 by linearity.  A group's kernel
+    """Full B x N_max x N_max x d_m kernel for one layer of a group
     (``geo.pairs`` from :func:`autodiff.group_pairs`, ``atomic_numbers`` of
-    its stacked rows) is B x N_max x N_max x d_m, exactly 0 in the padding.
+    its stacked rows; a lone molecule's is 1 x N x N x d_m), from the
+    :class:`PairGeometry` shared by all layers.  The MLP runs on the pairs
+    i <= j only, N(N+1)/2 per molecule, and its output is mirrored to both
+    orders, so each molecule's kernel is symmetric by construction and
+    exactly 0 in the padding.  In atom-aware mode the first layer's weights
+    split by rows into basis rows W_r and code rows W_z; the code
+    Z(z_i) + Z(z_j) and the bias b1 then enter as P_i + P_j with the
+    per-atom term P = Z(z) W_z + b1/2, which equals
+    [g; Z(z_i) + Z(z_j)] W1 + b1 by linearity.
     """
     g = geo.basis if geo.basis is not None else expand_basis(geo.r, cfg, params)
     if params.embed is None:

@@ -224,7 +224,7 @@ class GeoTModel:
 
     def _block(self, x: ad.Tensor, lam, layer: LayerParams, trace, pairs) -> ad.Tensor:
         cfg = self.config
-        msa = geo_msa(x, lam, layer.attn, cfg, trace=trace, pairs=pairs)
+        msa = geo_msa(x, lam, layer.attn, cfg, pairs, trace=trace)
         if cfg.block_kind == "sequential":
             xt = ad.layer_norm(ad.add(msa, x), layer.ln0_gain, layer.ln0_bias)
             return ad.layer_norm(ad.add(ffn(xt, layer), xt), layer.ln1_gain, layer.ln1_bias)

@@ -144,7 +144,8 @@ class Adam:
         """One update from the flat gradient ``grad``; a non-finite entry
         raises, naming its parameter, before anything changes.  Each
         parameter gets a view of one new array: no parameter array is
-        written into, so a caller may keep the old ones."""
+        written into, so a caller may keep the old ones, and the new array
+        is read-only, so no caller writes into the ones kept."""
         if not np.isfinite(grad).all():
             first = int(np.argmin(np.isfinite(grad)))
             name = list(self.params)[np.searchsorted(self._ends, first, side="right")]
@@ -170,6 +171,7 @@ class Adam:
         a /= b
         new = np.concatenate([t.data for t in self.params.values()], axis=None)
         new -= a
+        new.flags.writeable = False
         for tensor, view in zip(self.params.values(), self._views(new).values()):
             tensor.data = view
 

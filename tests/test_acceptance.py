@@ -96,14 +96,15 @@ def test_02_symmetry_suite():
 
 def test_03_attn_scale_contract():
     rng = np.random.default_rng(3)
-    a = rng.uniform(-2, 2, (6, 6, 4))
-    ident = attn_scale(ad.constant(a), ad.constant(np.zeros(()))).data
+    a = rng.uniform(-2, 2, (1, 6, 6, 4))     # the maps of a group of one
+    pairs = ad.group_pairs((6,))
+    ident = attn_scale(ad.constant(a), ad.constant(np.zeros(())), pairs).data
     ident_err = np.max(np.abs(ident - a))
     assert ident_err < 1e-12
     row_err = 0.0
     for w in rng.uniform(-0.5, 2.0, 20):
-        out = attn_scale(ad.constant(a), ad.constant(np.array(w))).data
-        row_err = max(row_err, np.max(np.abs(out.sum(axis=1) - a.sum(axis=1))))
+        out = attn_scale(ad.constant(a), ad.constant(np.array(w)), pairs).data
+        row_err = max(row_err, np.max(np.abs(out.sum(axis=2) - a.sum(axis=2))))
     assert row_err < 1e-10
     report("attn-scale contract",
            f"identity at w=0 err {ident_err:.1e}; row sums err {row_err:.1e}")
@@ -116,12 +117,13 @@ def test_04_value_linearity():
     cfg = ModelConfig(d_m=16, n_heads=4)
     params = init_attention_params(rng, 16)
     x = ad.constant(rng.uniform(-1, 1, (5, 16)))
-    lam = ad.constant(rng.uniform(-1, 1, (5, 5, 16)))
-    base = geo_msa(x, lam, params, cfg).data
+    lam = ad.constant(rng.uniform(-1, 1, (1, 5, 5, 16)))
+    pairs = ad.group_pairs((5,))
+    base = geo_msa(x, lam, params, cfg, pairs).data
     worst = 0.0
     for s in (2.0, -0.5, 7.25):
         params.wv.data = s * params.wv.data
-        scaled = geo_msa(x, lam, params, cfg).data
+        scaled = geo_msa(x, lam, params, cfg, pairs).data
         params.wv.data = params.wv.data / s
         denom = np.max(np.abs(s * base))
         worst = max(worst, np.max(np.abs(scaled - s * base)) / denom)
@@ -139,9 +141,9 @@ def test_05_kernel_symmetry():
         p = init_kernel_params(rng, cfg, d_m=16, mode="atom_aware",
                                d_rbf=16, d_emb2=8)
         mol = random_molecule(rng, 6)
-        pairs = ad.pair_index(mol.n_atoms)
+        pairs = ad.group_pairs((mol.n_atoms,))
         geo = pair_geometry(pairs, pairwise_distances(ad.constant(mol.coords), pairs), cfg)
-        lam = kernel_tensor(p, cfg, geo, mol.atomic_numbers).data
+        lam = kernel_tensor(p, cfg, geo, mol.atomic_numbers).data[0]
         worst = max(worst, np.max(np.abs(lam - lam.transpose(1, 0, 2))))
     assert worst == 0.0
     report("kernel symmetry", "exact over 10 random kernels/molecules")

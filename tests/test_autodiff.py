@@ -828,7 +828,7 @@ class TestGradContract:
 
         def record():
             rows = ad.add(ad.einsum("nd,de->ne", g, w), b)
-            return rows, ad.tensor_sum(ad.square(ad.expand_pairs(rows, ad.pair_index(4))))
+            return rows, ad.tensor_sum(ad.square(ad.expand_pairs(rows, ad.group_pairs((4,)))))
 
         # a sweep without create_graph frees its graph: each before-sweep
         # gets a graph of its own, and the create_graph sweep goes first below
@@ -924,7 +924,7 @@ class TestGradContract:
         "add_self": lambda x: ad.add(x, x),
         "add_reshape": lambda x: ad.add(x, ad.reshape(ad.reshape(x, (2, 8)), (4, 4))),
         "mul_transpose": lambda x: ad.mul(x, ad.einsum("ij->ji", x)),
-        "add_pair_sum": lambda x: pair_sum_twice(x, ad.pair_index(4)),
+        "add_pair_sum": lambda x: pair_sum_twice(x, ad.group_pairs((4,))),
     }
 
     @pytest.mark.parametrize("case", sorted(ALIASING))
@@ -961,32 +961,46 @@ class TestPairOps:
     """expand_pairs / fold_pairs / add_pair_sum on the i <= j pair layout."""
 
     def test_layout(self):
-        pairs = ad.pair_index(3)
+        pairs = ad.group_pairs((3,))
         assert len(pairs.i) == 6 and np.all(pairs.i <= pairs.j)
         np.testing.assert_array_equal(pairs.i[-3:], [0, 1, 2])
         np.testing.assert_array_equal(pairs.j[-3:], [0, 1, 2])
-        np.testing.assert_array_equal(pairs.index, pairs.index.T)
-        np.testing.assert_array_equal(pairs.index[pairs.i, pairs.j], np.arange(6))
+        np.testing.assert_array_equal(pairs.index[0], pairs.index[0].T)
+        np.testing.assert_array_equal(pairs.index[0][pairs.i, pairs.j], np.arange(6))
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_one_molecule_is_laid_out_as_a_group_of_one(self, n):
+        pairs = ad.group_pairs((n,))
+        assert pairs.index.shape == (1, n, n) and not pairs.padded
+        np.testing.assert_array_equal(pairs.rows, np.arange(n))
+        # the off-diagonal pairs in row-major order, then the diagonal
+        off_i, off_j = np.triu_indices(n, 1)
+        np.testing.assert_array_equal(pairs.i, np.concatenate([off_i, np.arange(n)]))
+        np.testing.assert_array_equal(pairs.j, np.concatenate([off_j, np.arange(n)]))
+        np.testing.assert_array_equal(pairs.upper, pairs.i * n + pairs.j)
+        np.testing.assert_array_equal(pairs.lower, off_j * n + off_i)
 
     def test_cached_per_atom_count(self):
-        assert ad.pair_index(7) is ad.pair_index(7)
-        assert ad.pair_index(7) is not ad.pair_index(8)
+        assert ad.group_pairs((7,)) is ad.group_pairs((7,))
+        assert ad.group_pairs((7,)) is not ad.group_pairs((8,))
 
     @pytest.mark.parametrize("field", ad.PairIndex._fields)
     def test_cached_arrays_are_read_only(self, field):
-        arr = getattr(ad.pair_index(4), field)
+        arr = getattr(ad.group_pairs((4,)), field)
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
 
     def test_group_cache_keeps_what_repeats_and_stays_small(self, rng):
         ad.group_pairs.cache_clear()
         rounds = [tuple(rng.integers(4, 9, 4).tolist()) for _ in range(26)]
+        # and the molecules that run alone, as those of train-mid do
+        rounds += [(n,) for n in range(24, 41)]
         for sizes in rounds:
             ad.group_pairs(sizes)
         hits = ad.group_pairs.cache_info().hits
         for sizes in rounds:
             ad.group_pairs(sizes)
-        assert ad.group_pairs.cache_info().hits == hits + 26
+        assert ad.group_pairs.cache_info().hits == hits + 26 + 17
         # many distinct 16-molecule groups, as batches of 32 give
         for _ in range(300):
             ad.group_pairs(tuple(rng.integers(4, 9, 16).tolist()))
@@ -997,26 +1011,26 @@ class TestPairOps:
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_expand_and_fold_are_adjoint(self, rng, n):
-        pairs = ad.pair_index(n)
+        pairs = ad.group_pairs((n,))
         u = rng.normal(size=(len(pairs.i), 3))
-        g = rng.normal(size=(n, n, 3))
+        g = rng.normal(size=(1, n, n, 3))
         lhs = np.sum(ad.expand_pairs(u, pairs).data * g)
         rhs = np.sum(u * ad.fold_pairs(g, pairs).data)
         assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
     def test_expand_mirrors_and_fold_sums_both_orders(self, rng):
-        pairs = ad.pair_index(4)
+        pairs = ad.group_pairs((4,))
         u = rng.normal(size=(10, 2))
-        lam = ad.expand_pairs(u, pairs).data
+        lam = ad.expand_pairs(u, pairs).data[0]
         np.testing.assert_array_equal(lam, lam.transpose(1, 0, 2))
-        g = rng.normal(size=(4, 4, 2))
+        g = rng.normal(size=(1, 4, 4, 2))
         folded = ad.fold_pairs(g, pairs).data
         for k, (i, j) in enumerate(zip(pairs.i, pairs.j)):
-            want = g[i, i] if i == j else g[i, j] + g[j, i]
+            want = g[0, i, i] if i == j else g[0, i, j] + g[0, j, i]
             np.testing.assert_array_equal(folded[k], want)
 
     def test_add_pair_sum_gradients(self, rng):
-        pairs = ad.pair_index(4)
+        pairs = ad.group_pairs((4,))
         x = rng.normal(size=(10, 3))
         p = rng.normal(size=(4, 3))
         w = rng.normal(size=(10, 3))
@@ -1029,9 +1043,9 @@ class TestPairOps:
 
     def test_double_backward_through_expand_and_fold(self, rng):
         # d/dp of |grad_x f|^2 where f mixes x and p through the pair layout
-        pairs = ad.pair_index(3)
+        pairs = ad.group_pairs((3,))
         x0 = rng.normal(size=(6, 2))
-        p0 = rng.normal(size=(3, 3, 2))
+        p0 = rng.normal(size=(1, 3, 3, 2))
 
         def outer(pv):
             x = ad.parameter(x0)

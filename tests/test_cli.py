@@ -341,7 +341,9 @@ class TestTrainCommand:
 
         def faulty(*args, **kwargs):
             if sum(sizes) == 4:          # first group of step 2, before its forward
-                args[0].layers[0].ffn_b1.data[0] = np.inf
+                b1 = args[0].layers[0].ffn_b1.data.copy()
+                b1[0] = np.inf
+                args[0].layers[0].ffn_b1.data = b1
             sizes.append(len(args[1]))
             return inner(*args, **kwargs)
 
@@ -351,6 +353,8 @@ class TestTrainCommand:
         assert (out / "metrics.csv").exists()
         assert (out / "best.npz").exists()
         assert not (out / "final.npz").exists()
+        best = load_checkpoint(out / "best.npz")        # refuses non-finite values
+        assert all(np.isfinite(t.data).all() for t in best.params().values())
 
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")     # inf/NaN on purpose

@@ -47,15 +47,16 @@ def reference_tensor(p, cfg, coords, numbers):
 
 
 def distances(coords):
-    """Pair list and differentiable pair distances of a coordinate tensor."""
-    pairs = ad.pair_index(coords.shape[0])
+    """Pair list and differentiable pair distances of a coordinate tensor,
+    one molecule laid out as a group of one."""
+    pairs = ad.group_pairs((coords.shape[0],))
     return pairs, pairwise_distances(coords, pairs)
 
 
 def dense(coords):
     """N x N matrix of the pair distances of a coordinate array."""
     pairs, r = distances(ad.constant(coords))
-    return r.data[pairs.index]
+    return r.data[pairs.index[0]]
 
 
 def geometry(coords, cfg):
@@ -66,7 +67,7 @@ def geometry(coords, cfg):
 def two_atoms(cfg, r, z=(6, 8)):
     """Pair geometry and atomic numbers of two atoms at distance r; ``r`` may
     be a tensor.  The pairs are (0, 1), then the diagonal (0, 0), (1, 1)."""
-    return pair_geometry(ad.pair_index(2), ad.mul(r, [1.0, 0.0, 0.0]), cfg), np.array(z)
+    return pair_geometry(ad.group_pairs((2,)), ad.mul(r, [1.0, 0.0, 0.0]), cfg), np.array(z)
 
 
 def random_rotation(rng):
@@ -316,16 +317,16 @@ class TestAtomPairCode:
     def test_same_element_doubles(self, rng):
         p = self.make_params(rng)
         geo, numbers = two_atoms(self.cfg, 1.4, (6, 6))
-        lam = kernel_tensor(p, self.cfg, geo, numbers).data
+        lam = kernel_tensor(p, self.cfg, geo, numbers).data[0]
         code = np.broadcast_to(2 * p.embed.data[6], (2, 2, 4))
-        dist = geo.r.data[geo.pairs.index]
+        dist = geo.r.data[geo.pairs.index[0]]
         np.testing.assert_allclose(lam, reference_kernel(p, self.cfg, dist, code),
                                    atol=1e-12)
 
     def test_symmetry(self, rng):
         p = self.make_params(rng)
-        a = kernel_tensor(p, self.cfg, *two_atoms(self.cfg, 1.4, (1, 8))).data
-        b = kernel_tensor(p, self.cfg, *two_atoms(self.cfg, 1.4, (8, 1))).data
+        a = kernel_tensor(p, self.cfg, *two_atoms(self.cfg, 1.4, (1, 8))).data[0]
+        b = kernel_tensor(p, self.cfg, *two_atoms(self.cfg, 1.4, (8, 1))).data[0]
         np.testing.assert_array_equal(a[0, 1], b[0, 1])
 
     def test_unknown_element(self, rng):
@@ -346,16 +347,16 @@ class TestTwoBodyKernel:
     def test_symmetric_in_atoms(self, rng):
         p = init_kernel_params(rng, self.cfg, d_m=8, mode="atom_aware", d_rbf=8, d_emb2=4)
         for r in rng.uniform(0.5, 4.0, 5):
-            a = kernel_tensor(p, self.cfg, *two_atoms(self.cfg, r, (6, 8))).data
-            b = kernel_tensor(p, self.cfg, *two_atoms(self.cfg, r, (8, 6))).data
+            a = kernel_tensor(p, self.cfg, *two_atoms(self.cfg, r, (6, 8))).data[0]
+            b = kernel_tensor(p, self.cfg, *two_atoms(self.cfg, r, (8, 6))).data[0]
             np.testing.assert_array_equal(a[0, 1], b[0, 1])
             np.testing.assert_array_equal(a[0, 1], a[1, 0])
 
     def test_layers_initialized_independently(self, rng):
         p1 = init_kernel_params(rng, self.cfg, d_m=8, mode="atom_aware", d_rbf=8, d_emb2=4)
         p2 = init_kernel_params(rng, self.cfg, d_m=8, mode="atom_aware", d_rbf=8, d_emb2=4)
-        a = kernel_tensor(p1, self.cfg, *two_atoms(self.cfg, 1.5, (1, 6))).data[0, 1]
-        b = kernel_tensor(p2, self.cfg, *two_atoms(self.cfg, 1.5, (1, 6))).data[0, 1]
+        a = kernel_tensor(p1, self.cfg, *two_atoms(self.cfg, 1.5, (1, 6))).data[0, 0, 1]
+        b = kernel_tensor(p2, self.cfg, *two_atoms(self.cfg, 1.5, (1, 6))).data[0, 0, 1]
         assert np.max(np.abs(a - b)) > 1e-6
 
     def test_zero_weights_give_zero(self, rng):
@@ -363,12 +364,12 @@ class TestTwoBodyKernel:
         for t in (p.w1, p.b1, p.w2, p.b2):
             t.data = np.zeros_like(t.data)
         out = kernel_tensor(p, self.cfg, *two_atoms(self.cfg, 2.0, (6, 6))).data
-        np.testing.assert_array_equal(out, np.zeros((2, 2, 8)))
+        np.testing.assert_array_equal(out, np.zeros((1, 2, 2, 8)))
 
     def test_plain_mode_needs_no_atoms(self, rng):
         p = init_kernel_params(rng, self.cfg, d_m=8, mode="plain", d_rbf=8, d_emb2=4)
         out = kernel_tensor(p, self.cfg, two_atoms(self.cfg, 2.0)[0], None)
-        assert out.shape == (2, 2, 8)
+        assert out.shape == (1, 2, 2, 8)
 
     def test_plain_mode_rejects_missing_numbers_when_atom_aware(self, rng):
         p = init_kernel_params(rng, self.cfg, d_m=8, mode="atom_aware", d_rbf=8, d_emb2=4)
@@ -398,7 +399,7 @@ class TestKernelTensor:
         p = init_kernel_params(rng, cfg, d_m=8, mode="atom_aware", d_rbf=8, d_emb2=4)
         coords = rng.uniform(-2, 2, (5, 3))
         numbers = rng.choice([1, 6, 7, 8], 5)
-        lam = kernel_tensor(p, cfg, geometry(coords, cfg), numbers).data
+        lam = kernel_tensor(p, cfg, geometry(coords, cfg), numbers).data[0]
         np.testing.assert_array_equal(lam, lam.transpose(1, 0, 2))
 
     def test_symmetric_exactly_at_twenty_atoms(self, rng):
@@ -406,7 +407,7 @@ class TestKernelTensor:
         p = init_kernel_params(rng, cfg, d_m=8, mode="atom_aware", d_rbf=8, d_emb2=4)
         coords = rng.uniform(-4, 4, (20, 3))
         numbers = rng.choice([1, 6, 7, 8], 20)
-        lam = kernel_tensor(p, cfg, geometry(coords, cfg), numbers).data
+        lam = kernel_tensor(p, cfg, geometry(coords, cfg), numbers).data[0]
         np.testing.assert_array_equal(lam, lam.transpose(1, 0, 2))
 
     def test_diagonal_defined_and_finite(self, rng):
@@ -422,11 +423,11 @@ class TestKernelTensor:
         coords = rng.uniform(-2, 2, (4, 3))
         numbers = np.array([1, 6, 7, 8])
         geo = geometry(coords, cfg)
-        lam = kernel_tensor(p, cfg, geo, numbers).data
+        lam = kernel_tensor(p, cfg, geo, numbers).data[0]
         for i in range(4):
             for j in range(4):
                 code = p.embed.data[numbers[i]] + p.embed.data[numbers[j]]
-                single = reference_kernel(p, cfg, geo.r.data[geo.pairs.index[i, j]], code)
+                single = reference_kernel(p, cfg, geo.r.data[geo.pairs.index[0, i, j]], code)
                 np.testing.assert_allclose(lam[i, j], single, atol=1e-12)
 
     @pytest.mark.parametrize("mode", ["plain", "atom_aware"])
@@ -439,7 +440,7 @@ class TestKernelTensor:
         p.b2.data = rng.normal(size=8)
         coords = rng.uniform(-2, 2, (n, 3))
         numbers = rng.choice([1, 6, 7, 8], n)
-        lam = kernel_tensor(p, cfg, geometry(coords, cfg), numbers).data
+        lam = kernel_tensor(p, cfg, geometry(coords, cfg), numbers).data[0]
         np.testing.assert_allclose(lam, reference_tensor(p, cfg, coords, numbers),
                                    rtol=0, atol=1e-12)
 

@@ -375,7 +375,7 @@ class TestAttentionTrace:
         model.forward_parts(mol, trace=trace)
         assert len(trace) == cfg.n_layers == 2
         for rec in trace:
-            assert rec.logits.shape == (4, 4, cfg.n_heads)
+            assert rec.logits.shape == (1, 4, 4, cfg.n_heads)      # a group of one
 
 
 ATTN_NAMES = ["layer0.attn.wq", "layer0.attn.wk", "layer0.attn.wv"]

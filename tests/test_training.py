@@ -275,6 +275,14 @@ class TestAdam:
                 np.testing.assert_array_equal(old[k], kept[k])
                 assert not np.array_equal(t.data, kept[k])
 
+    def test_arrays_a_step_hands_out_are_read_only(self, rng):
+        params = {"b": ad.parameter(1.0), "w": ad.parameter(rng.normal(size=(2, 3)))}
+        Adam(params).step(rng.normal(size=7), 0.1)
+        for t in params.values():
+            with pytest.raises(ValueError, match="read-only"):
+                t.data[...] = np.inf
+            assert np.isfinite(t.data).all()
+
 
 class TestBestCheckpoint:
     """``train`` returns the bytes ``checkpoint_bytes`` gave at the best
@@ -484,7 +492,9 @@ class TestTrainLoop:
         def faulty(*args, **kwargs):
             if sum(sizes) == 4:          # first group of step 2, before its forward
                 net = args[0]
-                net.layers[0].ffn_b1.data[0] = np.inf
+                b1 = net.layers[0].ffn_b1.data.copy()
+                b1[0] = np.inf
+                net.layers[0].ffn_b1.data = b1       # a new array: the best checkpoint keeps the old
                 before.update({k: t.data.copy() for k, t in net.params().items()})
             sizes.append(len(args[1]))
             return inner(*args, **kwargs)
@@ -493,7 +503,8 @@ class TestTrainLoop:
         res = train(model, tiny_dataset(), TrainConfig(
             batch_size=4, max_steps=3, eval_every=1, patience=100))
         assert res.stopped == "diverged"
-        assert res.best_checkpoint is not None
+        best = load_checkpoint(io.BytesIO(res.best_checkpoint))     # refuses non-finite values
+        assert all(np.isfinite(t.data).all() for t in best.params().values())
         assert before
         assert sizes == [4, 4]       # the fault ran through a group of four
         for k, t in model.params().items():
