@@ -298,6 +298,15 @@ class PairIndex(NamedTuple):
         return len(self.rows) < self.index.size // self.index.shape[-1]
 
 
+def upper_pairs(sizes) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (i, j > i) of the off-diagonal pairs of stacked molecules of
+    ``sizes`` atoms, molecule by molecule, each in ``np.triu_indices`` order."""
+    atoms = np.arange(sum(sizes))
+    after = np.repeat(np.cumsum(sizes), sizes) - 1 - atoms     # partners after each row
+    i = np.repeat(atoms, after)
+    return i, i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(after) - after, after)
+
+
 # Room for the groups that repeat: a validation set's, the gradcheck's
 # copies', the 26 of a train-morse-small benchmark round and the sizes of
 # molecules that run alone.  Training groups of many molecules hardly ever
@@ -312,10 +321,7 @@ def group_pairs(sizes: tuple) -> PairIndex:
     segment = np.repeat(np.arange(len(sizes)), sizes)       # molecule of each row
     atoms = np.arange(len(segment))
     local = atoms - first[segment]
-    # the off-diagonal pairs (a, b > a) of each molecule, row by row
-    after = np.asarray(sizes)[segment] - 1 - local          # partners after each row
-    off_i = np.repeat(atoms, after)
-    off_j = off_i + 1 + np.arange(len(off_i)) - np.repeat(np.cumsum(after) - after, after)
+    off_i, off_j = upper_pairs(sizes)
     i, j = np.concatenate([off_i, atoms]), np.concatenate([off_j, atoms])
     m, mol, li, lj = len(i), segment[i], local[i], local[j]
     index = np.full((len(sizes), n_max, n_max), m, dtype=np.intp)

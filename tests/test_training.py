@@ -7,7 +7,7 @@ from geoattn import autodiff as ad
 from geoattn import training
 from geoattn.data import Dataset, split_dataset
 from geoattn.errors import ConfigError, DataError
-from geoattn.geometry import BasisConfig, Molecule
+from geoattn.geometry import BasisConfig, Molecule, random_coords
 from geoattn.model import GeoTModel, ModelConfig, checkpoint_bytes, groups, load_checkpoint
 from geoattn.training import (Adam, SyntheticSpec, TrainConfig, composite_loss,
                               default_morse_table, energy_mae,
@@ -330,6 +330,36 @@ class TestBestCheckpoint:
         assert (best, res.steps_run, res.stopped) == (4, 5, "diverged")
 
 
+def morse_loop(numbers, coords, table, square=lambda y: y ** 2):
+    """The per-pair loop the Morse labels were first computed with, kept as a
+    bit-for-bit oracle; ``square`` is how it squares 1 - x."""
+    n = len(numbers)
+    energy = 0.0
+    forces = np.zeros((n, 3))
+    for i in range(n):
+        for j in range(i + 1, n):
+            key = (int(min(numbers[i], numbers[j])), int(max(numbers[i], numbers[j])))
+            if key not in table:
+                raise DataError(f"no Morse parameters for element pair {key}")
+            d_e, a, r_e = table[key]
+            rij = coords[j] - coords[i]
+            r = np.linalg.norm(rij)
+            x = np.exp(-a * (r - r_e))
+            energy += d_e * square(1.0 - x) - d_e
+            dv_dr = 2.0 * d_e * a * (1.0 - x) * x
+            pair_force = -dv_dr * rij / r     # force on atom j
+            forces[j] += pair_force
+            forces[i] -= pair_force
+    return float(energy), forces
+
+
+def assert_same_labels(mols, table):
+    for m in mols:
+        e, f = morse_loop(m.atomic_numbers, m.coords, table)
+        assert m.energy == e
+        assert np.array_equal(m.forces, f)
+
+
 class TestMorseOracle:
     table = default_morse_table((1, 6, 7, 8))
 
@@ -358,10 +388,46 @@ class TestMorseOracle:
         (n,) = numeric_grad(e_of, [coords], h=1e-6)
         assert rel_err(f, -n) < 1e-8
 
+    @pytest.mark.parametrize("n", [1, 2, 40])
+    def test_the_loops_bits(self, rng, n):
+        numbers = rng.choice((1, 6, 7, 8), size=n)
+        coords = random_coords(rng, n, 8.0, 0.8)
+        e, f = morse_energy_forces(numbers, coords, self.table)
+        e_loop, f_loop = morse_loop(numbers, coords, self.table)
+        assert type(e) is float and e == e_loop
+        assert np.array_equal(f, f_loop)
+
+    def test_square_is_the_scalar_pow(self):
+        # at this distance (1 - x) ** 2 and (1 - x) * (1 - x) give energies
+        # one bit apart
+        numbers, coords = np.array([1, 6]), np.array([[0.0, 0, 0], [2.846, 0, 0]])
+        e_loop, f_loop = morse_loop(numbers, coords, self.table)
+        assert morse_loop(numbers, coords, self.table, square=lambda y: y * y)[0] != e_loop
+        e, f = morse_energy_forces(numbers, coords, self.table)
+        assert e == e_loop
+        assert np.array_equal(f, f_loop)
+
+    def test_generated_set_has_the_loops_bits(self):
+        # the set test_07 learns from
+        from test_acceptance import LEARNING_SPEC
+        data = generate_synthetic(LEARNING_SPEC, seed=0)
+        assert len(data) == 600
+        assert_same_labels(data.molecules, LEARNING_SPEC.pair_params)
+
     def test_unknown_pair(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"^no Morse parameters for element pair \(1, 2\)$"):
             morse_energy_forces(np.array([1, 2]),
                                 np.array([[0.0, 0, 0], [1.0, 0, 0]]), self.table)
+
+    def test_set_names_the_first_missing_pair_as_the_loop_does(self, rng):
+        numbers = [np.array([1, 6]), np.array([6, 2, 3, 1])]
+        coords = [random_coords(rng, len(z), 4.0, 0.8) for z in numbers]
+        with pytest.raises(DataError) as loop_error:
+            morse_loop(numbers[1], coords[1], self.table)
+        with pytest.raises(DataError) as error:
+            training._morse_labels(numbers, coords, self.table)
+        assert str(error.value) == str(loop_error.value) == \
+            "no Morse parameters for element pair (2, 6)"
 
 
 class TestSynthetic:
@@ -378,12 +444,7 @@ class TestSynthetic:
 
     def test_labels_consistent(self, rng):
         spec = SyntheticSpec(n_molecules=3)
-        ds = generate_synthetic(spec, seed=1)
-        for m in ds.molecules:
-            e, f = morse_energy_forces(m.atomic_numbers, m.coords,
-                                       spec.pair_params)
-            assert m.energy == e
-            np.testing.assert_array_equal(m.forces, f)
+        assert_same_labels(generate_synthetic(spec, seed=1).molecules, spec.pair_params)
 
     def test_seed_determinism(self):
         spec = SyntheticSpec(n_molecules=5)
@@ -402,9 +463,7 @@ class TestSynthetic:
             assert np.all((m.coords >= 0) & (m.coords <= spec.box))
             d = np.linalg.norm(m.coords[:, None] - m.coords[None], axis=-1)
             assert d[~np.eye(m.n_atoms, dtype=bool)].min() >= spec.min_distance
-            e, f = morse_energy_forces(m.atomic_numbers, m.coords, spec.pair_params)
-            assert m.energy == e
-            np.testing.assert_array_equal(m.forces, f)
+        assert_same_labels(ds.molecules, spec.pair_params)
 
     def test_impossible_packing_rejected(self):
         spec = SyntheticSpec(n_molecules=1, min_atoms=8, max_atoms=8,
